@@ -10,11 +10,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import cyclic_geometry as geom
 from . import scale_calculus as scale
 from . import sulva_rules as rules
-from .exact_numbers import Rational, parse_rational, rat, sqrt_exact, to_decimal
+from .exact_numbers import parse_rational, rat, sqrt_exact, to_decimal, to_fraction_text
 
 Row = tuple[str, object]
 
@@ -29,10 +30,10 @@ class Report:
 
 
 def _fmt_value(value: object, precision: int, annotate: bool) -> str:
-    if isinstance(value, Rational):
-        text = f"{value.num}/{value.den}"
-        if annotate and value.den != 1:
-            text += f" (~ {to_decimal(value, precision).text})"
+    if isinstance(value, Fraction):
+        text = to_fraction_text(value)
+        if annotate and value.denominator != 1:
+            text += f" (~ {to_decimal(value, precision)})"
         return text
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -40,8 +41,8 @@ def _fmt_value(value: object, precision: int, annotate: bool) -> str:
 
 
 def _json_value(value: object) -> object:
-    if isinstance(value, Rational):
-        return f"{value.num}/{value.den}"
+    if isinstance(value, Fraction):
+        return to_fraction_text(value)
     return value
 
 
@@ -75,12 +76,12 @@ def render_report(report: Report, fmt: str = "text", precision: int = 12) -> str
     return "\n".join(lines)
 
 
-def _pi_error_rows(value: Rational, precision: int) -> list[Row]:
+def _pi_error_rows(value: Fraction, precision: int) -> list[Row]:
     error = rules.pi_reference() - value
     return [
         ("implied circle constant", value),
-        ("decimal", to_decimal(value, precision).text),
-        ("error vs 50-digit pi literal", to_decimal(error, precision).text),
+        ("decimal", to_decimal(value, precision)),
+        ("error vs 50-digit pi literal", to_decimal(error, precision)),
     ]
 
 
@@ -91,9 +92,9 @@ def _cmd_sqrt2(args: argparse.Namespace) -> int:
     report.add(
         "value",
         [
-            ("terms", " + ".join(f"{t.num}/{t.den}" for t in rule.term_list)),
+            ("terms", " + ".join(to_fraction_text(t) for t in rule.term_list)),
             ("value", rule.value),
-            ("decimal", to_decimal(rule.value, args.precision).text),
+            ("decimal", to_decimal(rule.value, args.precision)),
             ("square minus 2", residual),
         ],
     )
@@ -165,8 +166,8 @@ def _cmd_area(args: argparse.Namespace) -> int:
     if root is not None:
         rows.append(("area", root))
     else:
-        rows.append(("area", f"irrational; squared area is {radicand.num}/{radicand.den}"))
-    if any(side.num == 0 for side in (args.a, args.b, args.c, args.d)):
+        rows.append(("area", f"irrational; squared area is {to_fraction_text(radicand)}"))
+    if any(side == 0 for side in (args.a, args.b, args.c, args.d)):
         rows.append(("note", "degenerate vanishing side: a triangle read, with no textual warrant"))
     report = Report("Cyclic quadrilateral area")
     report.add("result", rows)
@@ -219,7 +220,11 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 
 
 def _cmd_xii24(args: argparse.Namespace) -> int:
-    result = geom.xii24_verify(args.t, args.u, rat(1))
+    try:
+        result = geom.xii24_verify(args.t, args.u, rat(1))
+    except geom.DegenerateBase as exc:  # no triangle: bad input, not a failed verdict
+        print(f"sulvageom xii24: error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
     else:
@@ -249,6 +254,17 @@ def _cmd_xii24(args: argparse.Namespace) -> int:
     return 0 if result.all_ok else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for digit counts, seeds and quad counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sulvageom",
@@ -256,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "markdown", "json"), default="text")
-    common.add_argument("--precision", type=int, default=12, help="decimal digits in annotations")
+    common.add_argument("--precision", type=_positive_int, default=12, help="decimal digits in annotations")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -287,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quad", parents=[common], help="orthodiagonal quad demo with theorem checks")
     p.add_argument("mode", choices=("demo",))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--seed", type=_positive_int, default=1)
+    p.add_argument("--count", type=_positive_int, default=10)
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("xii24", parents=[common], help="half-oblong derivation check on the unit circle")

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exact_numbers import Rational, rat, sqrt_exact
+from .exact_numbers import rat, sqrt_exact, to_fraction_text
 
 
 class DegenerateQuad(ValueError):
@@ -37,27 +38,27 @@ class PreconditionViolated(ValueError):
 
 @dataclass(frozen=True)
 class RationalPoint:
-    x: Rational
-    y: Rational
+    x: Fraction
+    y: Fraction
 
 
-def _as_rat(v: Rational | int) -> Rational:
-    return v if isinstance(v, Rational) else rat(v)
+def _as_rat(v: Fraction | int) -> Fraction:
+    return v if isinstance(v, Fraction) else rat(v)
 
 
-def _sub(p: RationalPoint, q: RationalPoint) -> tuple[Rational, Rational]:
+def _sub(p: RationalPoint, q: RationalPoint) -> tuple[Fraction, Fraction]:
     return (p.x - q.x, p.y - q.y)
 
 
-def _dot(u: tuple[Rational, Rational], v: tuple[Rational, Rational]) -> Rational:
+def _dot(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _cross(u: tuple[Rational, Rational], v: tuple[Rational, Rational]) -> Rational:
+def _cross(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _along(p: RationalPoint, q: RationalPoint, lam: Rational) -> RationalPoint:
+def _along(p: RationalPoint, q: RationalPoint, lam: Fraction) -> RationalPoint:
     """The point p + lam * (q - p)."""
     return RationalPoint(p.x + lam * (q.x - p.x), p.y + lam * (q.y - p.y))
 
@@ -71,7 +72,7 @@ class CyclicQuad:
     """Four distinct points on the circle x^2 + y^2 = r^2, in one convex
     counterclockwise sweep. Collinear triples are rejected as degenerate."""
 
-    r: Rational
+    r: Fraction
     vertices: tuple[RationalPoint, RationalPoint, RationalPoint, RationalPoint]
 
     def __post_init__(self) -> None:
@@ -86,21 +87,19 @@ class CyclicQuad:
         for i in range(4):
             a, b, c = (self.vertices[i], self.vertices[(i + 1) % 4], self.vertices[(i + 2) % 4])
             turn = _cross(_sub(b, a), _sub(c, b))
-            if turn.num == 0:
+            if turn == 0:
                 raise DegenerateQuad("three consecutive vertices are collinear")
             if turn < 0:
                 raise DegenerateQuad("vertices are not in counterclockwise circular order")
 
     def to_dict(self) -> dict:
         return {
-            "r": f"{self.r.num}/{self.r.den}",
-            "vertices": [
-                [f"{v.x.num}/{v.x.den}", f"{v.y.num}/{v.y.den}"] for v in self.vertices
-            ],
+            "r": to_fraction_text(self.r),
+            "vertices": [[to_fraction_text(v.x), to_fraction_text(v.y)] for v in self.vertices],
         }
 
 
-def point_from_param(t: Rational | int, r: Rational | int) -> RationalPoint:
+def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
     """Rational point on the circle of radius r via the tan-half-angle map:
     (r(1 - t^2)/(1 + t^2), 2rt/(1 + t^2)). The point (-r, 0) is unreachable
     and must be built directly."""
@@ -112,13 +111,13 @@ def point_from_param(t: Rational | int, r: Rational | int) -> RationalPoint:
     return RationalPoint(r * (rat(1) - t * t) / denom, r * 2 * t / denom)
 
 
-def chord_sq(p: RationalPoint, q: RationalPoint) -> Rational:
+def chord_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
     """Exact squared distance between two points."""
     dx, dy = _sub(p, q)
     return dx * dx + dy * dy
 
 
-def shoelace_area(quad: CyclicQuad) -> Rational:
+def shoelace_area(quad: CyclicQuad) -> Fraction:
     """Exact positive area by the surveyor's formula over the vertex order."""
     total = rat(0)
     vs = quad.vertices
@@ -126,12 +125,12 @@ def shoelace_area(quad: CyclicQuad) -> Rational:
         a, b = vs[i], vs[(i + 1) % 4]
         total = total + (a.x * b.y - b.x * a.y)
     area = abs(total) / 2
-    if area.num == 0:
+    if area == 0:
         raise DegenerateQuad("zero area")
     return area
 
 
-def brahmagupta_radicand(a: Rational, b: Rational, c: Rational, d: Rational) -> Rational:
+def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """The exact product (s-a)(s-b)(s-c)(s-d) with s the half-sum of the
     sides; its exact root, when it exists, is the cyclic quadrilateral area.
 
@@ -142,7 +141,7 @@ def brahmagupta_radicand(a: Rational, b: Rational, c: Rational, d: Rational) -> 
     sides = (a, b, c, d)
     if any(side < 0 for side in sides):
         raise NotRealizable("sides must be nonnegative")
-    if sum(1 for side in sides if side.num == 0) > 1:
+    if sum(1 for side in sides if side == 0) > 1:
         raise NotRealizable("at most one side may vanish")
     s = (a + b + c + d) / 2
     product = rat(1)
@@ -154,17 +153,17 @@ def brahmagupta_radicand(a: Rational, b: Rational, c: Rational, d: Rational) -> 
     return product
 
 
-def crude_area(a: Rational, b: Rational, c: Rational, d: Rational) -> Rational:
+def crude_area(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """The gross estimate ((a+c)/2)((b+d)/2); deliberately order-sensitive,
     unlike the true area of four consecutive chords."""
     return ((a + c) / 2) * ((b + d) / 2)
 
 
-def heart_cord(a: Rational, b: Rational, h: Rational) -> Rational:
+def heart_cord(a: Fraction, b: Fraction, h: Fraction) -> Fraction:
     """Circumradius of a triangle from two sides and the perpendicular
     dropped from their common vertex: R = a*b/(2h). Doubled, it is the
     diameter of the circle touching the corners of the completed figure."""
-    if h.num == 0:
+    if h == 0:
         raise ZeroPerpendicular("perpendicular must be nonzero")
     if a <= 0 or b <= 0 or h < 0:
         raise ValueError("sides and perpendicular must be positive")
@@ -172,11 +171,11 @@ def heart_cord(a: Rational, b: Rational, h: Rational) -> Rational:
 
 
 def triquadrilateral(
-    t1: Rational | int,
-    t2: Rational | int,
-    t3: Rational | int,
-    t4: Rational | int,
-    r: Rational | int,
+    t1: Fraction | int,
+    t2: Fraction | int,
+    t3: Fraction | int,
+    t4: Fraction | int,
+    r: Fraction | int,
 ) -> CyclicQuad:
     """Complete the triangle at parameters t1, t2, t3 with a fourth vertex
     t4 on the same circle. The parameters must already trace one convex
@@ -189,24 +188,24 @@ def triquadrilateral(
     return CyclicQuad(r, points)
 
 
-def foot_param(a: RationalPoint, c: RationalPoint, b: RationalPoint) -> Rational:
+def foot_param(a: RationalPoint, c: RationalPoint, b: RationalPoint) -> Fraction:
     """Position of the perpendicular foot of b on base a-c, as the exact
     fraction lambda with H = a + lambda * (c - a)."""
     base = _sub(c, a)
     base_sq = _dot(base, base)
-    if base_sq.num == 0:
+    if base_sq == 0:
         raise DegenerateBase("base endpoints coincide")
     return _dot(_sub(b, a), base) / base_sq
 
 
-def diagonals_cut_params(quad: CyclicQuad) -> tuple[Rational, Rational, RationalPoint]:
+def diagonals_cut_params(quad: CyclicQuad) -> tuple[Fraction, Fraction, RationalPoint]:
     """Where the diagonals meet: J = A + mu_ac (C - A) = B + mu_bd (D - B)."""
     a, b, c, d = quad.vertices
     u = _sub(c, a)
     v = _sub(d, b)
     w = _sub(b, a)
     det = _cross(u, v)
-    if det.num == 0:
+    if det == 0:
         raise DegenerateQuad("diagonals are parallel")
     mu_ac = _cross(w, v) / det
     mu_bd = _cross(w, u) / det
@@ -241,7 +240,7 @@ def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
     for p, q, r_, s in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
         side_dir = _sub(q, p)
         denom = _dot(_sub(s, r_), side_dir)
-        if denom.num == 0:
+        if denom == 0:
             raise DegenerateQuad("perpendicular line is parallel to the opposite side")
         nu = _dot(_sub(j, r_), side_dir) / denom
         if _along(r_, s, nu) != _midpoint(r_, s):
@@ -258,13 +257,13 @@ class HalfOblongReport:
     four sub-identities recover the diagonal rule from the other two.
     """
 
-    lam: Rational
-    a_sq: Rational
-    b_sq: Rational
-    gamma_sq: Rational
-    alpha_sq: Rational
-    beta_sq: Rational
-    h_sq: Rational
+    lam: Fraction
+    a_sq: Fraction
+    b_sq: Fraction
+    gamma_sq: Fraction
+    alpha_sq: Fraction
+    beta_sq: Fraction
+    h_sq: Fraction
     segment_from_side: bool       # alpha^2 = a^2 - h^2
     segment_from_upright: bool    # beta^2 = b^2 - h^2
     height_is_mean: bool          # h^4 = alpha^2 * beta^2
@@ -280,9 +279,7 @@ class HalfOblongReport:
         )
 
     def to_dict(self) -> dict:
-        def s(q: Rational) -> str:
-            return f"{q.num}/{q.den}"
-
+        s = to_fraction_text
         return {
             "lambda": s(self.lam),
             "a_sq": s(self.a_sq),
@@ -300,13 +297,13 @@ class HalfOblongReport:
         }
 
 
-def xii24_verify(t: Rational | int, u: Rational | int, r: Rational | int) -> HalfOblongReport:
+def xii24_verify(t: Fraction | int, u: Fraction | int, r: Fraction | int) -> HalfOblongReport:
     """Check the half-oblong derivation on the triangle with base the
     diameter through the parameter-t point and apex at parameter u."""
     t = _as_rat(t)
     u = _as_rat(u)
     r = _as_rat(r)
-    if t.num == 0:
+    if t == 0:
         raise DegenerateBase("base parameter must be nonzero")
     a_pt = point_from_param(t, r)
     c_pt = RationalPoint(-a_pt.x, -a_pt.y)
@@ -335,7 +332,7 @@ def xii24_verify(t: Rational | int, u: Rational | int, r: Rational | int) -> Hal
     )
 
 
-def diagonal_lengths_sq(quad: CyclicQuad) -> tuple[Rational, Rational]:
+def diagonal_lengths_sq(quad: CyclicQuad) -> tuple[Fraction, Fraction]:
     """Squared diagonal lengths from coordinates (a coordinate oracle,
     not a side-length formula)."""
     a, b, c, d = quad.vertices
@@ -345,7 +342,7 @@ def diagonal_lengths_sq(quad: CyclicQuad) -> tuple[Rational, Rational]:
 # Parameters t with 1 + t^2 a rational square, so that chords between any
 # two such points (and the point (-r, 0)) come out rational. First two
 # entries are pinned: seed 1 must reproduce the reference kite.
-PYTHAGOREAN_PARAMS: tuple[Rational, ...] = tuple(
+PYTHAGOREAN_PARAMS: tuple[Fraction, ...] = tuple(
     rat(n, d)
     for n, d in (
         (0, 1), (3, 4), (4, 3), (5, 12), (12, 5), (15, 8), (8, 15),
@@ -356,7 +353,7 @@ PYTHAGOREAN_PARAMS: tuple[Rational, ...] = tuple(
     )
 )
 
-_DEMO_RADII: tuple[Rational, ...] = (rat(1), rat(2), rat(5, 2), rat(3))
+_DEMO_RADII: tuple[Fraction, ...] = (rat(1), rat(2), rat(5, 2), rat(3))
 
 
 def _reflect_across_diameter(p: RationalPoint, d: RationalPoint) -> RationalPoint:
@@ -396,14 +393,14 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
             continue
         d = _reflect_across_diameter(b, a)
         orient = _cross(_sub(b, a), _sub(c, a))
-        if orient.num == 0:
+        if orient == 0:
             continue
         order = (a, b, c, d) if orient > 0 else (a, d, c, b)
         quads.append(CyclicQuad(r, order))
     return quads
 
 
-def rational_side_quads(count: int, radius: Rational | int = 1) -> list[CyclicQuad]:
+def rational_side_quads(count: int, radius: Fraction | int = 1) -> list[CyclicQuad]:
     """Cyclic quads whose four chords are all exactly rational, built from
     ascending 4-subsets of the Pythagorean parameter table (extended with
     the negated values, which keeps 1 + t^2 square)."""
@@ -419,7 +416,7 @@ def rational_side_quads(count: int, radius: Rational | int = 1) -> list[CyclicQu
     return quads
 
 
-def rational_sides(quad: CyclicQuad) -> tuple[Rational, Rational, Rational, Rational]:
+def rational_sides(quad: CyclicQuad) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four side lengths, which must all be exactly rational."""
     vs = quad.vertices
     sides = []

@@ -1,5 +1,6 @@
-"""Exact rational arithmetic: normalized fractions, exact square roots,
-truncated decimal rendering.
+"""Exact rational arithmetic on fractions.Fraction: checked construction and
+parsing, exact square roots, and the fixed num/den and truncated decimal
+renderings.
 
 Everything here is integer arithmetic; no floats enter or leave.
 """
@@ -7,220 +8,68 @@ Everything here is integer arithmetic; no floats enter or leave.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 
 
-class ZeroDenominator(ZeroDivisionError):
-    """Denominator of zero in a rational constructor."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Division by an exact zero."""
+class ZeroDenominator(ZeroDivisionError, ValueError):
+    """Denominator of zero in a rational constructor. Also a ValueError,
+    since it always comes from a malformed literal or argument."""
 
 
 class NegativeInput(ValueError):
     """Square root of a negative rational."""
 
 
-@dataclass(frozen=True)
-class Rational:
-    """A fraction num/den kept reduced, with den > 0 and the sign on num.
+def rat(n: int, d: int = 1) -> Fraction:
+    """Build the normalized rational n/d. Raises ZeroDenominator for d = 0.
 
-    Zero is always 0/1. Values are immutable and hashable.
+    Always takes the two-argument Fraction form, which refuses floats.
     """
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
-        if den == 0:
-            raise ZeroDenominator(f"denominator of {num}/0")
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(num, den)  # gcd(0, d) == d, so zero normalizes to 0/1
-        if g > 1:
-            num //= g
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    # -- arithmetic -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other: "Rational | int") -> "Rational | None":
-        if isinstance(other, Rational):
-            return other
-        if isinstance(other, int):
-            return Rational(other)
-        return None
-
-    def __add__(self, other: "Rational | int") -> "Rational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Rational(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Rational | int") -> "Rational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Rational(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other: "Rational | int") -> "Rational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: "Rational | int") -> "Rational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Rational(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "Rational | int") -> "Rational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num == 0:
-            raise DivisionByZero(f"{self} / 0")
-        return Rational(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other: "Rational | int") -> "Rational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self) -> "Rational":
-        return Rational(-self.num, self.den)
-
-    def __abs__(self) -> "Rational":
-        return Rational(abs(self.num), self.den)
-
-    def __pow__(self, exponent: int) -> "Rational":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            if self.num == 0:
-                raise DivisionByZero("0 ** negative")
-            return Rational(self.den ** -exponent, self.num ** -exponent)
-        return Rational(self.num ** exponent, self.den ** exponent)
-
-    # -- comparisons (den > 0 on both sides, so cross-multiply is safe) ---
-
-    def __lt__(self, other: "Rational | int") -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den < o.num * self.den
-
-    def __le__(self, other: "Rational | int") -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den <= o.num * self.den
-
-    def __gt__(self, other: "Rational | int") -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den > o.num * self.den
-
-    def __ge__(self, other: "Rational | int") -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den >= o.num * self.den
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Rational(other)
-        if not isinstance(other, Rational):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __bool__(self) -> bool:
-        return self.num != 0
-
-    def __str__(self) -> str:
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
-
-    def __repr__(self) -> str:
-        return f"Rational({self.num}, {self.den})"
+    if d == 0:
+        raise ZeroDenominator(f"denominator of {n}/0")
+    return Fraction(n, d)
 
 
-@dataclass(frozen=True)
-class DecimalRendering:
-    """A truncated (never rounded) decimal expansion with a fixed digit count."""
-
-    digits: int
-    text: str
-
-
-def rat(n: int, d: int = 1) -> Rational:
-    """Build the normalized rational n/d. Raises ZeroDenominator for d = 0."""
-    return Rational(n, d)
-
-
-_OPS = {
-    "add": Rational.__add__,
-    "sub": Rational.__sub__,
-    "mul": Rational.__mul__,
-    "div": Rational.__truediv__,
-}
-
-
-def combine(op: str, a: Rational, b: Rational) -> Rational:
-    """Apply one of {add, sub, mul, div} exactly."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return fn(a, b)
-
-
-def sqrt_exact(q: Rational) -> Rational | None:
+def sqrt_exact(q: Fraction) -> Fraction | None:
     """Exact square root of q, or None when q is not a rational square.
 
     Works on numerator and denominator separately; valid because q is reduced.
     Never approximates. Raises NegativeInput for q < 0.
     """
-    if q.num < 0:
+    num, den = q.numerator, q.denominator
+    if num < 0:
         raise NegativeInput(f"sqrt of negative value {q}")
-    rn = math.isqrt(q.num)
-    rd = math.isqrt(q.den)
-    if rn * rn == q.num and rd * rd == q.den:
-        return Rational(rn, rd)
+    rn = math.isqrt(num)
+    rd = math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
     return None
 
 
-def to_decimal(q: Rational, digits: int) -> DecimalRendering:
+def to_fraction_text(q: Fraction) -> str:
+    """The reduced 'num/den' form, with the slash even for integers."""
+    return f"{q.numerator}/{q.denominator}"
+
+
+def to_decimal(q: Fraction, digits: int) -> str:
     """Truncated decimal expansion of q with exactly `digits` fractional digits.
 
     Truncation is toward zero, so the rendering never overstates a magnitude.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    scaled = (abs(q.num) * 10 ** digits) // q.den
+    num, den = q.numerator, q.denominator
+    scaled = (abs(num) * 10 ** digits) // den
     body = str(scaled).rjust(digits + 1, "0")
-    sign = "-" if q.num < 0 else ""
-    return DecimalRendering(digits, f"{sign}{body[:-digits]}.{body[-digits:]}")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse 'num/den' or a plain integer literal."""
     parts = text.strip().split("/")
     if len(parts) == 1:
-        return Rational(int(parts[0]))
+        return rat(int(parts[0]))
     if len(parts) == 2:
-        return Rational(int(parts[0]), int(parts[1]))
+        return rat(int(parts[0]), int(parts[1]))
     raise ValueError(f"not a rational literal: {text!r}")

@@ -10,9 +10,8 @@ ratio, and that distinction is the whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
-
-from .exact_numbers import Rational
 
 
 class NonPositiveParts(ValueError):
@@ -42,11 +41,6 @@ class Correspondence:
             raise NonPositiveParts(f"({self.p}, {self.q}): parts must be >= 1")
 
 
-def make_correspondence(p: int, q: int, labels: tuple[str, str] = ("first", "second")) -> Correspondence:
-    """Store (p, q) verbatim; no reduction ever happens."""
-    return Correspondence(p, q, labels)
-
-
 def refine(c: Correspondence, k: int) -> Correspondence:
     """Split every part into k subparts: (p, q) -> (k*p, k*q). Ratio unchanged."""
     if k < 1:
@@ -71,9 +65,9 @@ def compose(c1: Correspondence, c2: Correspondence) -> Correspondence:
     return Correspondence(c1.p * c2.p, c1.q * c2.q, (c1.labels[0], c2.labels[1]))
 
 
-def as_ratio(c: Correspondence) -> Rational:
+def as_ratio(c: Correspondence) -> Fraction:
     """Export the correspondence as the reduced fraction q/p."""
-    return Rational(c.q, c.p)
+    return Fraction(c.q, c.p)
 
 
 def removal_form(c: Correspondence) -> tuple[int, int]:

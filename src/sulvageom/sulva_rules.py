@@ -9,8 +9,9 @@ for error reporting, keeping the computational core float-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exact_numbers import Rational, rat
+from .exact_numbers import rat, to_fraction_text
 
 # First 50 decimals of pi, truncated. Used only for reporting how far the
 # rules land from the circle constant; no rational equals pi.
@@ -25,7 +26,7 @@ class OutOfRange(ValueError):
     """A side-over-diameter ratio must lie strictly between 0 and 1."""
 
 
-def pi_reference() -> Rational:
+def pi_reference() -> Fraction:
     """The 50-digit pi literal as an exact rational (a stand-in, not pi)."""
     whole, frac = PI_DECIMAL_50.split(".")
     return rat(int(whole + frac), 10 ** len(frac))
@@ -36,14 +37,11 @@ class RuleValue:
     """A rule's value together with the summands exactly as the rule states
     them; the term structure is data, not just a number."""
 
-    value: Rational
-    term_list: tuple[Rational, ...]
+    value: Fraction
+    term_list: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        total = rat(0)
-        for term in self.term_list:
-            total = total + term
-        if total != self.value:
+        if sum(self.term_list) != self.value:
             raise ValueError("term list does not sum to the stated value")
 
 
@@ -56,23 +54,23 @@ class IdentityReport:
     """Bit-exact comparison of two rationals; residual = left - right."""
 
     name: str
-    left: Rational
-    right: Rational
-    residual: Rational
+    left: Fraction
+    right: Fraction
+    residual: Fraction
     verdict: str
 
     @classmethod
-    def compare(cls, name: str, left: Rational, right: Rational) -> "IdentityReport":
+    def compare(cls, name: str, left: Fraction, right: Fraction) -> "IdentityReport":
         residual = left - right
-        verdict = VERDICT_EQUAL if residual.num == 0 else VERDICT_RESIDUAL
+        verdict = VERDICT_EQUAL if residual == 0 else VERDICT_RESIDUAL
         return cls(name, left, right, residual, verdict)
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "left": f"{self.left.num}/{self.left.den}",
-            "right": f"{self.right.num}/{self.right.den}",
-            "residual": f"{self.residual.num}/{self.residual.den}",
+            "left": to_fraction_text(self.left),
+            "right": to_fraction_text(self.right),
+            "residual": to_fraction_text(self.residual),
             "verdict": self.verdict,
         }
 
@@ -81,13 +79,10 @@ def sqrt2_i61() -> RuleValue:
     """Rule I.61-62: the four-term approximation of the square diagonal,
     1 + 1/3 + 1/12 - 1/408 = 577/408."""
     terms = (rat(1), rat(1, 3), rat(1, 12), rat(-1, 408))
-    value = rat(0)
-    for term in terms:
-        value = value + term
-    return RuleValue(value, terms)
+    return RuleValue(rat(577, 408), terms)
 
 
-def circulature_i58(s: Rational, sqrt2: Rational) -> Rational:
+def circulature_i58(s: Fraction, sqrt2: Fraction) -> Fraction:
     """Rule I.58: square of side s into a circle of radius
     r = s/2 + E/3, with E = (sqrt2 - 1) * s/2 the excess of the
     half-diagonal over the half-side."""
@@ -98,19 +93,19 @@ def circulature_i58(s: Rational, sqrt2: Rational) -> Rational:
     return half + excess / 3
 
 
-def quadrature_ratio_i59() -> Rational:
+def quadrature_ratio_i59() -> Fraction:
     """Rule I.59 as a side-over-diameter ratio:
     1 - (1/(8*29)) * (28 + 1/6 - (1/8)(1/6))."""
     bracket = rat(28) + rat(1, 6) - rat(1, 8) * rat(1, 6)
     return rat(1) - bracket / rat(8 * 29)
 
 
-def quadrature_ratio_i60() -> Rational:
+def quadrature_ratio_i60() -> Fraction:
     """Rule I.60, the cruder reading: remove 2 of 15 diameter parts."""
     return rat(1) - rat(2, 15)
 
 
-def diameter_over_side_i58(sqrt2: Rational) -> Rational:
+def diameter_over_side_i58(sqrt2: Fraction) -> Fraction:
     """d/s implied by I.58 at unit side: 2r with r = circulature_i58(1),
     i.e. (2 + sqrt2)/3 reduced."""
     return circulature_i58(rat(1), sqrt2) * 2
@@ -138,7 +133,7 @@ def verify_decompositions() -> list[IdentityReport]:
     ]
 
 
-def implied_pi(side_over_diameter: Rational) -> Rational:
+def implied_pi(side_over_diameter: Fraction) -> Fraction:
     """Circle constant implied by equating square and circle areas:
     s^2 = pi d^2 / 4 gives pi = 4 (s/d)^2.
 

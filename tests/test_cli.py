@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,27 @@ class TestExitCodes:
             cli_main(["area", "x", "1", "1", "1"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["area", "1/0", "1", "1", "1"],
+            ["sqrt2", "--precision", "0"],
+            ["quad", "demo", "--count", "0"],
+            ["quad", "demo", "--seed", "0"],
+            ["xii24", "0", "1"],
+            ["xii24", "1", "1"],
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, argv):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -147,3 +172,14 @@ class TestDeterminism:
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
         assert first == second
+
+
+def test_python_dash_m_entry_point():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sulvageom", "sqrt2"], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (root / "tests" / "golden" / "sqrt2.txt").read_bytes()

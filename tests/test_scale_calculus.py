@@ -12,7 +12,6 @@ from sulvageom.scale_calculus import (
     compose,
     derive_i59_trace,
     invert,
-    make_correspondence,
     refine,
     removal_form,
     trace_to_dict,
@@ -24,15 +23,15 @@ correspondences = st.builds(Correspondence, parts, parts)
 
 class TestConstruction:
     def test_stored_verbatim(self):
-        c = make_correspondence(24, 17, ("half-diagonal", "half-side"))
+        c = Correspondence(24, 17, ("half-diagonal", "half-side"))
         assert (c.p, c.q) == (24, 17)
 
     def test_identity(self):
-        c = make_correspondence(1, 1, ("x", "x"))
+        c = Correspondence(1, 1, ("x", "x"))
         assert (c.p, c.q) == (1, 1)
 
     def test_remove_two_of_fifteen(self):
-        c = make_correspondence(15, 13, ("diameter", "side"))
+        c = Correspondence(15, 13, ("diameter", "side"))
         assert removal_form(c) == (15, 2)
 
     def test_never_reduced(self):
@@ -41,7 +40,7 @@ class TestConstruction:
 
     def test_nonpositive_parts(self):
         with pytest.raises(NonPositiveParts):
-            make_correspondence(0, 3)
+            Correspondence(0, 3)
 
 
 class TestOperations:
