@@ -24,15 +24,21 @@ Row = tuple[str, object]
 class Report:
     title: str
     sections: list[tuple[str, list[Row]]] = field(default_factory=list)
+    # A command's own JSON document, rendered in place of title and sections.
+    data: object = None
 
     def add(self, heading: str, rows: list[Row]) -> None:
         self.sections.append((heading, rows))
 
 
-def _fmt_value(value: object, precision: int, annotate: bool) -> str:
+# Title, heading and row prefixes of the two human-readable formats.
+_PREFIXES = {"text": ("", "", "  "), "markdown": ("# ", "## ", "- ")}
+
+
+def _fmt_value(value: object, precision: int) -> str:
     if isinstance(value, Fraction):
         text = to_fraction_text(value)
-        if annotate and value.denominator != 1:
+        if value.denominator != 1:
             text += f" (~ {to_decimal(value, precision)})"
         return text
     if isinstance(value, bool):
@@ -40,39 +46,22 @@ def _fmt_value(value: object, precision: int, annotate: bool) -> str:
     return str(value)
 
 
-def _json_value(value: object) -> object:
-    if isinstance(value, Fraction):
-        return to_fraction_text(value)
-    return value
-
-
 def render_report(report: Report, fmt: str = "text", precision: int = 12) -> str:
     """Deterministic rendering; rationals appear as num/den, with a
     truncated decimal annotation in the human-readable formats."""
     if fmt == "json":
-        payload = {
-            "title": report.title,
-            "sections": [
-                {"heading": heading, "rows": [[key, _json_value(v)] for key, v in rows]}
-                for heading, rows in report.sections
-            ],
-        }
-        return json.dumps(payload, indent=2)
-    lines: list[str] = []
-    if fmt == "markdown":
-        lines.append(f"# {report.title}")
-        for heading, rows in report.sections:
-            lines.append("")
-            lines.append(f"## {heading}")
-            for key, value in rows:
-                lines.append(f"- {key}: {_fmt_value(value, precision, True)}")
-    else:
-        lines.append(report.title)
-        for heading, rows in report.sections:
-            lines.append("")
-            lines.append(heading)
-            for key, value in rows:
-                lines.append(f"  {key}: {_fmt_value(value, precision, True)}")
+        doc = report.data
+        if doc is None:
+            doc = {
+                "title": report.title,
+                "sections": [{"heading": heading, "rows": rows} for heading, rows in report.sections],
+            }
+        return json.dumps(doc, indent=2, default=to_fraction_text)
+    title, heading_prefix, row_prefix = _PREFIXES[fmt]
+    lines = [title + report.title]
+    for heading, rows in report.sections:
+        lines += ["", heading_prefix + heading]
+        lines += [f"{row_prefix}{key}: {_fmt_value(value, precision)}" for key, value in rows]
     return "\n".join(lines)
 
 
@@ -85,7 +74,7 @@ def _pi_error_rows(value: Fraction, precision: int) -> list[Row]:
     ]
 
 
-def _cmd_sqrt2(args: argparse.Namespace) -> int:
+def _cmd_sqrt2(args: argparse.Namespace) -> tuple[Report, int]:
     rule = rules.sqrt2_i61()
     residual = rule.value * rule.value - rat(2)
     report = Report("Diagonal rule I.61-62")
@@ -98,11 +87,10 @@ def _cmd_sqrt2(args: argparse.Namespace) -> int:
             ("square minus 2", residual),
         ],
     )
-    print(render_report(report, args.format, args.precision))
-    return 0
+    return report, 0
 
 
-def _cmd_pi(args: argparse.Namespace) -> int:
+def _cmd_pi(args: argparse.Namespace) -> tuple[Report, int]:
     if args.rule == "i59":
         ratio = rules.quadrature_ratio_i59()
     elif args.rule == "i60":
@@ -111,56 +99,46 @@ def _cmd_pi(args: argparse.Namespace) -> int:
         ratio = rat(1) / rules.diameter_over_side_i58(rules.sqrt2_i61().value)
     report = Report(f"Circle constant implied by rule {args.rule}")
     report.add("result", [("side over diameter", ratio)] + _pi_error_rows(rules.implied_pi(ratio), args.precision))
-    print(render_report(report, args.format, args.precision))
-    return 0
+    return report, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[Report, int]:
     reports = rules.verify_decompositions()
-    if args.format == "json":
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
-        return 0
-    out = Report("Exact identity checks")
+    out = Report("Exact identity checks", data=[vars(r) for r in reports])
     for r in reports:
         out.add(r.name, [("left", r.left), ("right", r.right), ("residual", r.residual), ("verdict", r.verdict)])
-    print(render_report(out, args.format, args.precision))
-    return 0
+    return out, 0
 
 
-def _cmd_derive(args: argparse.Namespace) -> int:
+def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
     trace = scale.derive_i59_trace()
     removal = scale.removal_form(trace.final)
-    if args.format == "json":
-        payload = scale.trace_to_dict(trace)
-        payload["removal"] = list(removal)
-        print(json.dumps(payload, indent=2))
-        return 0
-    out = Report("Reconstruction of quadrature rule I.59")
+    final = (trace.final.p, trace.final.q)
+    steps = []
+    out = Report("Reconstruction of quadrature rule I.59", data={"steps": steps, "final": final, "removal": removal})
     for i, step in enumerate(trace.steps, start=1):
-        rows: list[Row] = [("description", step.description)]
-        if step.before is not None:
-            rows.append(("before", f"({step.before.p}, {step.before.q})"))
-        rows.append(("after", f"({step.after.p}, {step.after.q})"))
-        rows.append(("ratio", scale.as_ratio(step.after)))
-        rows.append(("anchor", step.anchor))
+        entry = {
+            "description": step.description,
+            "before": (step.before.p, step.before.q) if step.before else None,
+            "after": (step.after.p, step.after.q),
+            "anchor": step.anchor,
+        }
+        steps.append(entry)
+        rows: list[Row] = [(key, value) for key, value in entry.items() if value is not None]
+        rows.insert(-1, ("ratio", scale.as_ratio(step.after)))
         out.add(f"step {i}", rows)
     out.add(
         "result",
         [
-            ("final", f"({trace.final.p}, {trace.final.q})"),
+            ("final", final),
             ("removal form", f"divide into {removal[0]} parts, remove {removal[1]}"),
         ],
     )
-    print(render_report(out, args.format, args.precision))
-    return 0
+    return out, 0
 
 
-def _cmd_area(args: argparse.Namespace) -> int:
-    try:
-        radicand = geom.brahmagupta_radicand(args.a, args.b, args.c, args.d)
-    except geom.NotRealizable as exc:
-        print(f"not realizable: {exc}", file=sys.stderr)
-        return 1
+def _cmd_area(args: argparse.Namespace) -> tuple[Report, int]:
+    radicand = geom.brahmagupta_radicand(args.a, args.b, args.c, args.d)
     root = sqrt_exact(radicand)
     rows: list[Row] = [("radicand", radicand)]
     if root is not None:
@@ -171,87 +149,64 @@ def _cmd_area(args: argparse.Namespace) -> int:
         rows.append(("note", "degenerate vanishing side: a triangle read, with no textual warrant"))
     report = Report("Cyclic quadrilateral area")
     report.add("result", rows)
-    print(render_report(report, args.format, args.precision))
-    return 0
+    return report, 0
 
 
-def _cmd_crude(args: argparse.Namespace) -> int:
+def _cmd_crude(args: argparse.Namespace) -> tuple[Report, int]:
     report = Report("Crude area (order-sensitive)")
     report.add("result", [("value", geom.crude_area(args.a, args.b, args.c, args.d))])
-    print(render_report(report, args.format, args.precision))
-    return 0
+    return report, 0
 
 
-def _cmd_quad(args: argparse.Namespace) -> int:
-    quads = geom.orthodiagonal_generator(args.seed, args.count)
+def _cmd_quad(args: argparse.Namespace) -> tuple[Report, int]:
+    items = []
+    out = Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", data=items)
     failures = 0
-    if args.format == "json":
-        items = []
-        for quad in quads:
-            ortho = geom.segments_equal_portions(quad)
-            bisect = ortho and geom.brahmagupta_theorem_check(quad)
-            if not (ortho and bisect):
-                failures += 1
-            entry = quad.to_dict()
-            entry["segments_equal_portions"] = ortho
-            entry["bisection_theorem"] = bisect
-            items.append(entry)
-        print(json.dumps(items, indent=2))
-    else:
-        out = Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})")
-        for i, quad in enumerate(quads, start=1):
-            ortho = geom.segments_equal_portions(quad)
-            bisect = ortho and geom.brahmagupta_theorem_check(quad)
-            if not (ortho and bisect):
-                failures += 1
-            d1, d2 = geom.diagonal_lengths_sq(quad)
-            out.add(
-                f"quad {i}",
-                [
-                    ("vertices", "; ".join(f"({v.x}, {v.y})" for v in quad.vertices)),
-                    ("area", geom.shoelace_area(quad)),
-                    ("diagonals squared", f"{d1}, {d2}"),
-                    ("segments equal portions", ortho),
-                    ("bisection theorem", bisect),
-                ],
-            )
-        print(render_report(out, args.format, args.precision))
-    return 1 if failures else 0
-
-
-def _cmd_xii24(args: argparse.Namespace) -> int:
-    try:
-        result = geom.xii24_verify(args.t, args.u, rat(1))
-    except geom.DegenerateBase as exc:  # no triangle: bad input, not a failed verdict
-        print(f"sulvageom xii24: error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        out = Report(f"Half-oblong check at t = {args.t}, u = {args.u}")
+    for i, quad in enumerate(geom.orthodiagonal_generator(args.seed, args.count), start=1):
+        ortho = geom.segments_equal_portions(quad)
+        bisect = ortho and geom.brahmagupta_theorem_check(quad)
+        if not (ortho and bisect):
+            failures += 1
+        items.append(
+            {
+                "r": quad.r,
+                "vertices": [(v.x, v.y) for v in quad.vertices],
+                "segments_equal_portions": ortho,
+                "bisection_theorem": bisect,
+            }
+        )
+        d1, d2 = geom.diagonal_lengths_sq(quad)
         out.add(
-            "quantities",
+            f"quad {i}",
             [
-                ("lambda", result.lam),
-                ("a^2", result.a_sq),
-                ("b^2", result.b_sq),
-                ("gamma^2", result.gamma_sq),
-                ("alpha^2", result.alpha_sq),
-                ("beta^2", result.beta_sq),
-                ("h^2", result.h_sq),
+                ("vertices", "; ".join(f"({v.x}, {v.y})" for v in quad.vertices)),
+                ("area", geom.shoelace_area(quad)),
+                ("diagonals squared", f"{d1}, {d2}"),
+                ("segments equal portions", ortho),
+                ("bisection theorem", bisect),
             ],
         )
-        out.add(
-            "verdicts",
-            [
-                ("alpha^2 = a^2 - h^2", result.segment_from_side),
-                ("beta^2 = b^2 - h^2", result.segment_from_upright),
-                ("h^4 = alpha^2 beta^2", result.height_is_mean),
-                ("gamma^2 = a^2 + b^2", result.base_from_sum),
-            ],
-        )
-        print(render_report(out, args.format, args.precision))
-    return 0 if result.all_ok else 1
+    return out, 1 if failures else 0
+
+
+# Text labels of the half-oblong verdicts, keyed by their JSON names.
+_XII24_VERDICTS = {
+    "segment_from_side": "alpha^2 = a^2 - h^2",
+    "segment_from_upright": "beta^2 = b^2 - h^2",
+    "height_is_mean": "h^4 = alpha^2 beta^2",
+    "base_from_sum": "gamma^2 = a^2 + b^2",
+}
+
+
+def _cmd_xii24(args: argparse.Namespace) -> tuple[Report, int]:
+    result = geom.xii24_verify(args.t, args.u, rat(1))
+    squares = ("a_sq", "b_sq", "gamma_sq", "alpha_sq", "beta_sq", "h_sq")
+    quantities = {"lambda": result.lam} | {name: getattr(result, name) for name in squares}
+    verdicts = {name: getattr(result, name) for name in _XII24_VERDICTS}
+    out = Report(f"Half-oblong check at t = {args.t}, u = {args.u}", data={**quantities, "verdicts": verdicts})
+    out.add("quantities", [(name.replace("_sq", "^2"), value) for name, value in quantities.items()])
+    out.add("verdicts", [(_XII24_VERDICTS[name], value) for name, value in verdicts.items()])
+    return out, 0 if result.all_ok else 1
 
 
 def _positive_int(text: str) -> int:
@@ -262,6 +217,17 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _nonnegative_rational(text: str) -> Fraction:
+    """argparse type for side lengths."""
+    try:
+        value = parse_rational(text)
+    except ValueError:
+        value = rat(-1)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a rational >= 0, got {text!r}")
     return value
 
 
@@ -293,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("area", parents=[common], help="exact cyclic quadrilateral area from four sides")
     for name in "abcd":
-        p.add_argument(name, type=parse_rational)
+        p.add_argument(name, type=_nonnegative_rational)
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("crude", parents=[common], help="order-sensitive crude area estimate")
     for name in "abcd":
-        p.add_argument(name, type=parse_rational)
+        p.add_argument(name, type=_nonnegative_rational)
     p.set_defaults(func=_cmd_crude)
 
     p = sub.add_parser("quad", parents=[common], help="orthodiagonal quad demo with theorem checks")
@@ -316,9 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        report, code = args.func(args)
+    except geom.NotRealizable as exc:
+        print(f"not realizable: {exc}", file=sys.stderr)
+        return 1
+    except (geom.DegenerateBase, geom.CountTooLarge) as exc:  # bad input, not a failed verdict
+        print(f"sulvageom {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    print(render_report(report, args.format, args.precision))
+    return code
 
 
 def run() -> None:

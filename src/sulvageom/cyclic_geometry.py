@@ -10,10 +10,11 @@ has 1 + t^2 a rational square, which makes every chord rational.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_numbers import rat, sqrt_exact, to_fraction_text
+from .exact_numbers import rat, sqrt_exact
 
 
 class DegenerateQuad(ValueError):
@@ -34,6 +35,10 @@ class ZeroPerpendicular(ValueError):
 
 class PreconditionViolated(ValueError):
     """The bisection theorem requires perpendicular diagonals."""
+
+
+class CountTooLarge(ValueError):
+    """More quads asked of the demo generator than it has distinct ones."""
 
 
 @dataclass(frozen=True)
@@ -91,12 +96,6 @@ class CyclicQuad:
                 raise DegenerateQuad("three consecutive vertices are collinear")
             if turn < 0:
                 raise DegenerateQuad("vertices are not in counterclockwise circular order")
-
-    def to_dict(self) -> dict:
-        return {
-            "r": to_fraction_text(self.r),
-            "vertices": [[to_fraction_text(v.x), to_fraction_text(v.y)] for v in self.vertices],
-        }
 
 
 def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
@@ -156,6 +155,8 @@ def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> 
 def crude_area(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """The gross estimate ((a+c)/2)((b+d)/2); deliberately order-sensitive,
     unlike the true area of four consecutive chords."""
+    if any(side < 0 for side in (a, b, c, d)):
+        raise NotRealizable("sides must be nonnegative")
     return ((a + c) / 2) * ((b + d) / 2)
 
 
@@ -278,24 +279,6 @@ class HalfOblongReport:
             and self.base_from_sum
         )
 
-    def to_dict(self) -> dict:
-        s = to_fraction_text
-        return {
-            "lambda": s(self.lam),
-            "a_sq": s(self.a_sq),
-            "b_sq": s(self.b_sq),
-            "gamma_sq": s(self.gamma_sq),
-            "alpha_sq": s(self.alpha_sq),
-            "beta_sq": s(self.beta_sq),
-            "h_sq": s(self.h_sq),
-            "verdicts": {
-                "segment_from_side": self.segment_from_side,
-                "segment_from_upright": self.segment_from_upright,
-                "height_is_mean": self.height_is_mean,
-                "base_from_sum": self.base_from_sum,
-            },
-        }
-
 
 def xii24_verify(t: Fraction | int, u: Fraction | int, r: Fraction | int) -> HalfOblongReport:
     """Check the half-oblong derivation on the triangle with base the
@@ -355,6 +338,11 @@ PYTHAGOREAN_PARAMS: tuple[Fraction, ...] = tuple(
 
 _DEMO_RADII: tuple[Fraction, ...] = (rat(1), rat(2), rat(5, 2), rat(3))
 
+# The generator walks every ordered pair of distinct table entries once
+# before it repeats one, while cycling through the radii, so it yields this
+# many distinct quads and then starts over.
+DEMO_QUAD_LIMIT = math.lcm(len(PYTHAGOREAN_PARAMS) * (len(PYTHAGOREAN_PARAMS) - 1), len(_DEMO_RADII))
+
 
 def _reflect_across_diameter(p: RationalPoint, d: RationalPoint) -> RationalPoint:
     """Mirror p across the line through the origin and d."""
@@ -369,9 +357,13 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
     vertex pair is a point and its mirror image across that diameter, so
     perpendicularity holds by construction and every coordinate stays
     rational. Seed 1 starts at the reference kite on the unit circle.
+    Counts above DEMO_QUAD_LIMIT raise CountTooLarge, since the walk would
+    repeat quads.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > DEMO_QUAD_LIMIT:
+        raise CountTooLarge(f"count {count} exceeds the {DEMO_QUAD_LIMIT} distinct quads the demo yields")
     if seed < 1:
         raise ValueError("seed must be >= 1")
     n = len(PYTHAGOREAN_PARAMS)

@@ -162,18 +162,3 @@ def derive_i59_trace() -> DerivationTrace:
     steps = (s1, s2, s3, s4, s5, s6, s7)
     return DerivationTrace(steps, steps[-1].after)
 
-
-def trace_to_dict(trace: DerivationTrace) -> dict:
-    """Serialize a trace; field names and ordering are part of the format."""
-    return {
-        "steps": [
-            {
-                "description": step.description,
-                "before": [step.before.p, step.before.q] if step.before else None,
-                "after": [step.after.p, step.after.q],
-                "anchor": step.anchor,
-            }
-            for step in trace.steps
-        ],
-        "final": [trace.final.p, trace.final.q],
-    }

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_numbers import rat, to_fraction_text
+from .exact_numbers import rat
 
 # First 50 decimals of pi, truncated. Used only for reporting how far the
 # rules land from the circle constant; no rational equals pi.
@@ -64,15 +64,6 @@ class IdentityReport:
         residual = left - right
         verdict = VERDICT_EQUAL if residual == 0 else VERDICT_RESIDUAL
         return cls(name, left, right, residual, verdict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "left": to_fraction_text(self.left),
-            "right": to_fraction_text(self.right),
-            "residual": to_fraction_text(self.residual),
-            "verdict": self.verdict,
-        }
 
 
 def sqrt2_i61() -> RuleValue:

@@ -26,6 +26,12 @@ class TestRenderReport:
         doc = json.loads(render_report(report, "json"))
         assert doc["sections"][0]["rows"] == [["v", "1224/1393"], ["w", "-41/15512448"]]
 
+    def test_data_replaces_sections_in_json_only(self):
+        report = Report("t", data={"v": rat(1, 2), "ok": True})
+        report.add("s", [("w", rat(3, 4))])
+        assert json.loads(render_report(report, "json")) == {"v": "1/2", "ok": True}
+        assert render_report(report, "text", precision=2) == "t\n\ns\n  w: 3/4 (~ 0.75)"
+
     def test_markdown_headings(self):
         report = Report("Title")
         report.add("Section", [("k", rat(1, 2))])
@@ -146,6 +152,9 @@ class TestExitCodes:
             ["quad", "demo", "--seed", "0"],
             ["xii24", "0", "1"],
             ["xii24", "1", "1"],
+            ["crude", "-1", "1", "1", "1"],
+            ["area", "-1", "1", "1", "1"],
+            ["quad", "demo", "--count", "1861"],
         ],
     )
     def test_bad_input_exits_2(self, capsys, argv):
@@ -156,7 +165,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "error:" in captured.err
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err
 
 
 class TestDeterminism:

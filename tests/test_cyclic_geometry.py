@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sulvageom.cyclic_geometry import (
+    DEMO_QUAD_LIMIT,
+    CountTooLarge,
     CyclicQuad,
     DegenerateBase,
     DegenerateQuad,
@@ -98,11 +100,6 @@ class TestCyclicQuadValidation:
         with pytest.raises(DegenerateQuad):
             CyclicQuad(rat(1), (pt(1, 0), pt(-1, 0), pt(0, 1), pt(0, -1)))
 
-    def test_serialization(self):
-        doc = KITE.to_dict()
-        assert list(doc.keys()) == ["r", "vertices"]
-        assert doc["vertices"][1] == ["7/25", "24/25"]
-
 
 class TestAreas:
     def test_square(self):
@@ -159,6 +156,10 @@ class TestCrudeArea:
 
     def test_heron_degenerate(self):
         assert crude_area(rat(3), rat(4), rat(5), rat(0)) == rat(8)
+
+    def test_negative_side_rejected(self):
+        with pytest.raises(NotRealizable):
+            crude_area(rat(1), rat(1), rat(-1), rat(1))
 
 
 class TestHeartCord:
@@ -311,11 +312,6 @@ class TestHalfOblong:
         assert report.all_ok
         assert report.gamma_sq == rat(4) * r * r
 
-    def test_serialization(self):
-        doc = xii24_verify(rat(3, 4), rat(24, 7), rat(5, 2)).to_dict()
-        assert doc["gamma_sq"] == "25/1"
-        assert all(doc["verdicts"].values())
-
 
 class TestDiagonals:
     def test_square(self):
@@ -355,6 +351,18 @@ class TestOrthodiagonalGenerator:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             orthodiagonal_generator(1, 0)
+
+    def test_limit_is_every_pair_at_every_radius(self):
+        assert DEMO_QUAD_LIMIT == 1860
+
+    @pytest.mark.parametrize("seed", [1, 12345])
+    def test_distinct_up_to_the_limit(self, seed):
+        quads = orthodiagonal_generator(seed, DEMO_QUAD_LIMIT)
+        assert len(set(quads)) == DEMO_QUAD_LIMIT
+
+    def test_count_beyond_the_limit_refused(self):
+        with pytest.raises(CountTooLarge):
+            orthodiagonal_generator(1, DEMO_QUAD_LIMIT + 1)
 
 
 class TestRationalSideQuads:

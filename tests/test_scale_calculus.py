@@ -14,7 +14,6 @@ from sulvageom.scale_calculus import (
     invert,
     refine,
     removal_form,
-    trace_to_dict,
 )
 
 parts = st.integers(min_value=1, max_value=10**4)
@@ -159,15 +158,3 @@ class TestI59Trace:
 
     def test_anchors_nonempty(self):
         assert all(s.anchor for s in derive_i59_trace().steps)
-
-
-class TestTraceSerialization:
-    def test_schema(self):
-        doc = trace_to_dict(derive_i59_trace())
-        assert list(doc.keys()) == ["steps", "final"]
-        assert doc["final"] == [232, 204]
-        assert len(doc["steps"]) == 7
-        first = doc["steps"][0]
-        assert list(first.keys()) == ["description", "before", "after", "anchor"]
-        assert first["before"] is None
-        assert doc["steps"][-1]["after"] == [232, 204]

@@ -131,12 +131,6 @@ class TestDecompositions:
             assert report.left - report.right == report.residual
             assert (report.verdict == VERDICT_EQUAL) == (report.residual == rat(0))
 
-    def test_serialization(self):
-        doc = verify_decompositions()[0].to_dict()
-        assert list(doc.keys()) == ["name", "left", "right", "residual", "verdict"]
-        assert doc["left"] == "1224/1393"
-        assert doc["residual"] == "-41/15512448"
-
 
 class TestImpliedPi:
     def test_i60(self):
