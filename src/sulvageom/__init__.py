@@ -1,96 +1,2 @@
 """Exact-arithmetic kernel for the circle-square rules of the Sulvasutra
 and Brahmagupta's cyclic quadrilateral propositions."""
-
-from .exact_numbers import (
-    parse_rational,
-    rat,
-    sqrt_exact,
-    to_decimal,
-    to_fraction_text,
-)
-from .scale_calculus import (
-    Correspondence,
-    DerivationStep,
-    DerivationTrace,
-    as_ratio,
-    compose,
-    derive_i59_trace,
-    invert,
-    refine,
-    removal_form,
-)
-from .sulva_rules import (
-    IdentityReport,
-    RuleValue,
-    circulature_i58,
-    diameter_over_side_i58,
-    implied_pi,
-    pi_reference,
-    quadrature_ratio_i59,
-    quadrature_ratio_i60,
-    sqrt2_i61,
-    verify_decompositions,
-)
-from .cyclic_geometry import (
-    CyclicQuad,
-    HalfOblongReport,
-    RationalPoint,
-    brahmagupta_radicand,
-    brahmagupta_theorem_check,
-    chord_sq,
-    crude_area,
-    diagonal_lengths_sq,
-    diagonals_cut_params,
-    foot_param,
-    heart_cord,
-    orthodiagonal_generator,
-    point_from_param,
-    segments_equal_portions,
-    shoelace_area,
-    triquadrilateral,
-    xii24_verify,
-)
-
-__all__ = [
-    "Correspondence",
-    "CyclicQuad",
-    "DerivationStep",
-    "DerivationTrace",
-    "HalfOblongReport",
-    "IdentityReport",
-    "RationalPoint",
-    "RuleValue",
-    "as_ratio",
-    "brahmagupta_radicand",
-    "brahmagupta_theorem_check",
-    "chord_sq",
-    "circulature_i58",
-    "compose",
-    "crude_area",
-    "derive_i59_trace",
-    "diagonal_lengths_sq",
-    "diagonals_cut_params",
-    "diameter_over_side_i58",
-    "foot_param",
-    "heart_cord",
-    "implied_pi",
-    "invert",
-    "orthodiagonal_generator",
-    "parse_rational",
-    "pi_reference",
-    "point_from_param",
-    "quadrature_ratio_i59",
-    "quadrature_ratio_i60",
-    "rat",
-    "refine",
-    "removal_form",
-    "segments_equal_portions",
-    "shoelace_area",
-    "sqrt2_i61",
-    "sqrt_exact",
-    "to_decimal",
-    "to_fraction_text",
-    "triquadrilateral",
-    "verify_decompositions",
-    "xii24_verify",
-]

@@ -1,13 +1,15 @@
 """Command-line front end: renders the rule evaluations, identity checks,
 derivation trace, and geometric demos as text, markdown, or JSON.
 
-Exit codes: 0 success, 1 at least one failed verdict, 2 usage error.
+Exit codes: 0 success, 1 a verdict shown is false or the sides are not
+realizable, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,7 +76,7 @@ def _pi_error_rows(value: Fraction, precision: int) -> list[Row]:
     ]
 
 
-def _cmd_sqrt2(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_sqrt2(args: argparse.Namespace) -> Report:
     rule = rules.sqrt2_i61()
     residual = rule.value * rule.value - rat(2)
     report = Report("Diagonal rule I.61-62")
@@ -87,10 +89,10 @@ def _cmd_sqrt2(args: argparse.Namespace) -> tuple[Report, int]:
             ("square minus 2", residual),
         ],
     )
-    return report, 0
+    return report
 
 
-def _cmd_pi(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_pi(args: argparse.Namespace) -> Report:
     if args.rule == "i59":
         ratio = rules.quadrature_ratio_i59()
     elif args.rule == "i60":
@@ -99,18 +101,18 @@ def _cmd_pi(args: argparse.Namespace) -> tuple[Report, int]:
         ratio = rat(1) / rules.diameter_over_side_i58(rules.sqrt2_i61().value)
     report = Report(f"Circle constant implied by rule {args.rule}")
     report.add("result", [("side over diameter", ratio)] + _pi_error_rows(rules.implied_pi(ratio), args.precision))
-    return report, 0
+    return report
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_verify(args: argparse.Namespace) -> Report:
     reports = rules.verify_decompositions()
     out = Report("Exact identity checks", data=[vars(r) for r in reports])
     for r in reports:
         out.add(r.name, [("left", r.left), ("right", r.right), ("residual", r.residual), ("verdict", r.verdict)])
-    return out, 0
+    return out
 
 
-def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_derive(args: argparse.Namespace) -> Report:
     trace = scale.derive_i59_trace()
     removal = scale.removal_form(trace.final)
     final = (trace.final.p, trace.final.q)
@@ -134,10 +136,10 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
             ("removal form", f"divide into {removal[0]} parts, remove {removal[1]}"),
         ],
     )
-    return out, 0
+    return out
 
 
-def _cmd_area(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_area(args: argparse.Namespace) -> Report:
     radicand = geom.brahmagupta_radicand(args.a, args.b, args.c, args.d)
     root = sqrt_exact(radicand)
     rows: list[Row] = [("radicand", radicand)]
@@ -149,24 +151,21 @@ def _cmd_area(args: argparse.Namespace) -> tuple[Report, int]:
         rows.append(("note", "degenerate vanishing side: a triangle read, with no textual warrant"))
     report = Report("Cyclic quadrilateral area")
     report.add("result", rows)
-    return report, 0
+    return report
 
 
-def _cmd_crude(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_crude(args: argparse.Namespace) -> Report:
     report = Report("Crude area (order-sensitive)")
     report.add("result", [("value", geom.crude_area(args.a, args.b, args.c, args.d))])
-    return report, 0
+    return report
 
 
-def _cmd_quad(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_quad(args: argparse.Namespace) -> Report:
     items = []
     out = Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", data=items)
-    failures = 0
     for i, quad in enumerate(geom.orthodiagonal_generator(args.seed, args.count), start=1):
         ortho = geom.segments_equal_portions(quad)
         bisect = ortho and geom.brahmagupta_theorem_check(quad)
-        if not (ortho and bisect):
-            failures += 1
         items.append(
             {
                 "r": quad.r,
@@ -186,7 +185,7 @@ def _cmd_quad(args: argparse.Namespace) -> tuple[Report, int]:
                 ("bisection theorem", bisect),
             ],
         )
-    return out, 1 if failures else 0
+    return out
 
 
 # Text labels of the half-oblong verdicts, keyed by their JSON names.
@@ -198,7 +197,7 @@ _XII24_VERDICTS = {
 }
 
 
-def _cmd_xii24(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_xii24(args: argparse.Namespace) -> Report:
     result = geom.xii24_verify(args.t, args.u, rat(1))
     squares = ("a_sq", "b_sq", "gamma_sq", "alpha_sq", "beta_sq", "h_sq")
     quantities = {"lambda": result.lam} | {name: getattr(result, name) for name in squares}
@@ -206,7 +205,7 @@ def _cmd_xii24(args: argparse.Namespace) -> tuple[Report, int]:
     out = Report(f"Half-oblong check at t = {args.t}, u = {args.u}", data={**quantities, "verdicts": verdicts})
     out.add("quantities", [(name.replace("_sq", "^2"), value) for name, value in quantities.items()])
     out.add("verdicts", [(_XII24_VERDICTS[name], value) for name, value in verdicts.items()])
-    return out, 0 if result.all_ok else 1
+    return out
 
 
 def _positive_int(text: str) -> int:
@@ -274,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("xii24", parents=[common], help="half-oblong derivation check on the unit circle")
+    # Read -3/5 as a negative parameter, as argparse already reads -3.
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     p.add_argument("t", type=parse_rational)
     p.add_argument("u", type=parse_rational)
     p.set_defaults(func=_cmd_xii24)
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, code = args.func(args)
+        report = args.func(args)
     except geom.NotRealizable as exc:
         print(f"not realizable: {exc}", file=sys.stderr)
         return 1
@@ -292,7 +293,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"sulvageom {args.command}: error: {exc}", file=sys.stderr)
         return 2
     print(render_report(report, args.format, args.precision))
-    return code
+    # A verdict is a boolean row; exit 1 when any of them fails.
+    return 1 if any(value is False for _, rows in report.sections for _, value in rows) else 0
 
 
 def run() -> None:

@@ -68,10 +68,6 @@ def _along(p: RationalPoint, q: RationalPoint, lam: Fraction) -> RationalPoint:
     return RationalPoint(p.x + lam * (q.x - p.x), p.y + lam * (q.y - p.y))
 
 
-def _midpoint(p: RationalPoint, q: RationalPoint) -> RationalPoint:
-    return RationalPoint((p.x + q.x) / 2, (p.y + q.y) / 2)
-
-
 @dataclass(frozen=True)
 class CyclicQuad:
     """Four distinct points on the circle x^2 + y^2 = r^2, in one convex
@@ -243,8 +239,9 @@ def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
         denom = _dot(_sub(s, r_), side_dir)
         if denom == 0:
             raise DegenerateQuad("perpendicular line is parallel to the opposite side")
+        # The perpendicular meets line r_-s at r_ + nu (s - r_); the midpoint is nu = 1/2.
         nu = _dot(_sub(j, r_), side_dir) / denom
-        if _along(r_, s, nu) != _midpoint(r_, s):
+        if nu != Fraction(1, 2):
             return False
     return True
 

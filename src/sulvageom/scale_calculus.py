@@ -88,13 +88,14 @@ class DerivationStep:
 @dataclass(frozen=True)
 class DerivationTrace:
     steps: tuple[DerivationStep, ...]
-    final: Correspondence
 
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError("a trace needs at least one step")
-        if self.final != self.steps[-1].after:
-            raise ValueError("final correspondence must equal the last step's result")
+
+    @property
+    def final(self) -> Correspondence:
+        return self.steps[-1].after
 
 
 def derive_i59_trace() -> DerivationTrace:
@@ -159,6 +160,5 @@ def derive_i59_trace() -> DerivationTrace:
         Correspondence(232, 204, ("diameter", "side")),
         "I.59",
     )
-    steps = (s1, s2, s3, s4, s5, s6, s7)
-    return DerivationTrace(steps, steps[-1].after)
+    return DerivationTrace((s1, s2, s3, s4, s5, s6, s7))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sulvageom import cyclic_geometry as geom
 from sulvageom.cli import Report, cli_main, render_report
 from sulvageom.exact_numbers import rat
 
@@ -131,6 +133,18 @@ class TestSubcommands:
         assert doc["lambda"] == "1/2"
         assert all(doc["verdicts"].values())
 
+    @pytest.mark.parametrize(
+        "argv, dashed",
+        [
+            (["xii24", "-3/5", "7"], ["xii24", "--", "-3/5", "7"]),
+            (["xii24", "3/4", "-7/2"], ["xii24", "3/4", "--", "-7/2"]),
+        ],
+    )
+    def test_xii24_negative_fractions(self, capsys, argv, dashed):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *dashed) == (0, out)
+
 
 class TestExitCodes:
     def test_usage_error_exits_2(self):
@@ -155,6 +169,7 @@ class TestExitCodes:
             ["crude", "-1", "1", "1", "1"],
             ["area", "-1", "1", "1", "1"],
             ["quad", "demo", "--count", "1861"],
+            ["xii24", "-x", "7"],
         ],
     )
     def test_bad_input_exits_2(self, capsys, argv):
@@ -167,6 +182,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "target, fake, argv, falses",
+        [
+            ("brahmagupta_theorem_check", lambda real: lambda quad: False, ["quad", "demo", "--count", "2"], 2),
+            (
+                "xii24_verify",
+                lambda real: lambda *a: dataclasses.replace(real(*a), height_is_mean=False),
+                ["xii24", "3/4", "7"],
+                1,
+            ),
+        ],
+    )
+    def test_false_verdict_exits_1(self, capsys, monkeypatch, target, fake, argv, falses):
+        monkeypatch.setattr(geom, target, fake(getattr(geom, target)))
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.count(": false") == falses
 
 
 class TestDeterminism:
