@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_numbers import rat, sqrt_exact
@@ -51,6 +51,12 @@ def _as_rat(v: Fraction | int) -> Fraction:
     return v if isinstance(v, Fraction) else rat(v)
 
 
+def _integer_form(values) -> tuple[int, list[int]]:
+    """The least common denominator w of some rationals, and each value times w."""
+    w = math.lcm(*(v.denominator for v in values))
+    return w, [v.numerator * (w // v.denominator) for v in values]
+
+
 def _sub(p: RationalPoint, q: RationalPoint) -> tuple[Fraction, Fraction]:
     return (p.x - q.x, p.y - q.y)
 
@@ -59,39 +65,50 @@ def _dot(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _cross(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _along(p: RationalPoint, q: RationalPoint, lam: Fraction) -> RationalPoint:
     """The point p + lam * (q - p)."""
     return RationalPoint(p.x + lam * (q.x - p.x), p.y + lam * (q.y - p.y))
 
 
+def _dist_sq(p: tuple[int, int], q: tuple[int, int]) -> int:
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
 @dataclass(frozen=True)
 class CyclicQuad:
     """Four distinct points on the circle x^2 + y^2 = r^2, in one convex
-    counterclockwise sweep. Collinear triples are rejected as degenerate."""
+    counterclockwise sweep. Collinear triples are rejected as degenerate.
+
+    ``homogeneous`` is the same quad over one integer denominator:
+    ``(w, points)``, with w the least common denominator of r and the eight
+    coordinates, and points the four integer pairs (x w, y w). It is
+    computed once, at construction; the validation and the predicates below
+    decide on these integers by cross-multiplication.
+    """
 
     r: Fraction
     vertices: tuple[RationalPoint, RationalPoint, RationalPoint, RationalPoint]
+    homogeneous: tuple[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
+        w, (big_r, *coords) = _integer_form((self.r, *(c for v in self.vertices for c in (v.x, v.y))))
+        points = tuple(zip(coords[::2], coords[1::2]))
+        if big_r <= 0:
             raise DegenerateQuad(f"radius {self.r} must be positive")
-        rsq = self.r * self.r
-        for v in self.vertices:
-            if v.x * v.x + v.y * v.y != rsq:
+        rsq = big_r * big_r
+        for v, (x, y) in zip(self.vertices, points):
+            if x * x + y * y != rsq:
                 raise DegenerateQuad(f"vertex ({v.x}, {v.y}) is off the circle of radius {self.r}")
-        if len(set(self.vertices)) != 4:
+        if len(set(points)) != 4:
             raise DegenerateQuad("vertices must be pairwise distinct")
         for i in range(4):
-            a, b, c = (self.vertices[i], self.vertices[(i + 1) % 4], self.vertices[(i + 2) % 4])
-            turn = _cross(_sub(b, a), _sub(c, b))
+            (ax, ay), (bx, by), (cx, cy) = points[i], points[(i + 1) % 4], points[(i + 2) % 4]
+            turn = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
             if turn == 0:
                 raise DegenerateQuad("three consecutive vertices are collinear")
             if turn < 0:
                 raise DegenerateQuad("vertices are not in counterclockwise circular order")
+        object.__setattr__(self, "homogeneous", (w, points))
 
 
 def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
@@ -102,8 +119,9 @@ def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
     r = _as_rat(r)
     if r <= 0:
         raise ValueError(f"radius {r} must be positive")
-    denom = rat(1) + t * t
-    return RationalPoint(r * (rat(1) - t * t) / denom, r * 2 * t / denom)
+    n, d = t.numerator, t.denominator
+    denom = r.denominator * (d * d + n * n)
+    return RationalPoint(Fraction(r.numerator * (d * d - n * n), denom), Fraction(2 * r.numerator * n * d, denom))
 
 
 def chord_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
@@ -114,15 +132,11 @@ def chord_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
 
 def shoelace_area(quad: CyclicQuad) -> Fraction:
     """Exact positive area by the surveyor's formula over the vertex order."""
-    total = rat(0)
-    vs = quad.vertices
-    for i in range(4):
-        a, b = vs[i], vs[(i + 1) % 4]
-        total = total + (a.x * b.y - b.x * a.y)
-    area = abs(total) / 2
-    if area == 0:
+    w, vs = quad.homogeneous
+    total = sum(vs[i][0] * vs[(i + 1) % 4][1] - vs[(i + 1) % 4][0] * vs[i][1] for i in range(4))
+    if total == 0:
         raise DegenerateQuad("zero area")
-    return area
+    return Fraction(abs(total), 2 * w * w)
 
 
 def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
@@ -197,16 +211,29 @@ def foot_param(a: RationalPoint, c: RationalPoint, b: RationalPoint) -> Fraction
 
 def diagonals_cut_params(quad: CyclicQuad) -> tuple[Fraction, Fraction, RationalPoint]:
     """Where the diagonals meet: J = A + mu_ac (C - A) = B + mu_bd (D - B)."""
-    a, b, c, d = quad.vertices
-    u = _sub(c, a)
-    v = _sub(d, b)
-    w = _sub(b, a)
-    det = _cross(u, v)
+    w, ((ax, ay), (bx, by), (cx, cy), (dx, dy)) = quad.homogeneous
+    ux, uy = cx - ax, cy - ay
+    vx, vy = dx - bx, dy - by
+    ex, ey = bx - ax, by - ay
+    det = ux * vy - uy * vx
     if det == 0:
         raise DegenerateQuad("diagonals are parallel")
-    mu_ac = _cross(w, v) / det
-    mu_bd = _cross(w, u) / det
-    return mu_ac, mu_bd, _along(a, c, mu_ac)
+    n_ac = ex * vy - ey * vx
+    n_bd = ex * uy - ey * ux
+    return (
+        Fraction(n_ac, det),
+        Fraction(n_bd, det),
+        RationalPoint(Fraction(ax * det + n_ac * ux, w * det), Fraction(ay * det + n_ac * uy, w * det)),
+    )
+
+
+def _feet_at(o: tuple[int, int], e: tuple[int, int], apexes: tuple[tuple[int, int], ...], mu: Fraction) -> bool:
+    """Whether the perpendicular foot of each apex p on base o-e sits at
+    o + mu (e - o). The foot is at lam = ((p - o).base) / (base.base), so
+    with mu = n/m the test is ((p - o).base) m == n (base.base)."""
+    bx, by = e[0] - o[0], e[1] - o[1]
+    rhs = mu.numerator * (bx * bx + by * by)
+    return all(((p[0] - o[0]) * bx + (p[1] - o[1]) * by) * mu.denominator == rhs for p in apexes)
 
 
 def segments_equal_portions(quad: CyclicQuad) -> bool:
@@ -216,14 +243,9 @@ def segments_equal_portions(quad: CyclicQuad) -> bool:
     This holds exactly when the diagonals are perpendicular: it is the
     source text's angle-free way of saying so.
     """
-    a, b, c, d = quad.vertices
+    _, (a, b, c, d) = quad.homogeneous
     mu_ac, mu_bd, _ = diagonals_cut_params(quad)
-    return (
-        foot_param(a, c, b) == mu_ac
-        and foot_param(a, c, d) == mu_ac
-        and foot_param(b, d, a) == mu_bd
-        and foot_param(b, d, c) == mu_bd
-    )
+    return _feet_at(a, c, (b, d), mu_ac) and _feet_at(b, d, (a, c), mu_bd)
 
 
 def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
@@ -232,16 +254,19 @@ def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
     its exact midpoint? True only if all four sides pass with zero residual."""
     if not segments_equal_portions(quad):
         raise PreconditionViolated("diagonals are not perpendicular")
-    a, b, c, d = quad.vertices
-    _, _, j = diagonals_cut_params(quad)
+    _, (a, b, c, d) = quad.homogeneous
+    mu_ac, _, _ = diagonals_cut_params(quad)
+    n, m = mu_ac.numerator, mu_ac.denominator
+    # m J = m A + n (C - A), an integer point.
+    jx, jy = m * a[0] + n * (c[0] - a[0]), m * a[1] + n * (c[1] - a[1])
     for p, q, r_, s in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
-        side_dir = _sub(q, p)
-        denom = _dot(_sub(s, r_), side_dir)
+        sx, sy = q[0] - p[0], q[1] - p[1]
+        denom = (s[0] - r_[0]) * sx + (s[1] - r_[1]) * sy
         if denom == 0:
             raise DegenerateQuad("perpendicular line is parallel to the opposite side")
-        # The perpendicular meets line r_-s at r_ + nu (s - r_); the midpoint is nu = 1/2.
-        nu = _dot(_sub(j, r_), side_dir) / denom
-        if nu != Fraction(1, 2):
+        # The perpendicular meets line r_-s at r_ + nu (s - r_), where
+        # nu = ((J - r_).side) / denom; the midpoint is nu = 1/2.
+        if 2 * ((jx - m * r_[0]) * sx + (jy - m * r_[1]) * sy) != m * denom:
             return False
     return True
 
@@ -315,8 +340,8 @@ def xii24_verify(t: Fraction | int, u: Fraction | int, r: Fraction | int) -> Hal
 def diagonal_lengths_sq(quad: CyclicQuad) -> tuple[Fraction, Fraction]:
     """Squared diagonal lengths from coordinates (a coordinate oracle,
     not a side-length formula)."""
-    a, b, c, d = quad.vertices
-    return chord_sq(a, c), chord_sq(b, d)
+    w, (a, b, c, d) = quad.homogeneous
+    return Fraction(_dist_sq(a, c), w * w), Fraction(_dist_sq(b, d), w * w)
 
 
 # Parameters t with 1 + t^2 a rational square, so that chords between any
@@ -342,9 +367,11 @@ DEMO_QUAD_LIMIT = math.lcm(len(PYTHAGOREAN_PARAMS) * (len(PYTHAGOREAN_PARAMS) - 
 
 
 def _reflect_across_diameter(p: RationalPoint, d: RationalPoint) -> RationalPoint:
-    """Mirror p across the line through the origin and d."""
-    scale = (p.x * d.x + p.y * d.y) * 2 / (d.x * d.x + d.y * d.y)
-    return RationalPoint(scale * d.x - p.x, scale * d.y - p.y)
+    """Mirror p across the line through the origin and d:
+    2 (p.d) d / (d.d) - p, on integers over one common denominator g."""
+    g, (px, py, dx, dy) = _integer_form((p.x, p.y, d.x, d.y))
+    dot, dd = px * dx + py * dy, dx * dx + dy * dy
+    return RationalPoint(Fraction(2 * dot * dx - dd * px, g * dd), Fraction(2 * dot * dy - dd * py, g * dd))
 
 
 def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
@@ -381,7 +408,8 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
         if b in (a, c):
             continue
         d = _reflect_across_diameter(b, a)
-        orient = _cross(_sub(b, a), _sub(c, a))
+        # (b - a) x (c - a) with c = -a is 2 (a x b).
+        orient = a.x * b.y - a.y * b.x
         if orient == 0:
             continue
         order = (a, b, c, d) if orient > 0 else (a, d, c, b)
@@ -392,11 +420,15 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
 def rational_side_quads(count: int, radius: Fraction | int = 1) -> list[CyclicQuad]:
     """Cyclic quads whose four chords are all exactly rational, built from
     ascending 4-subsets of the Pythagorean parameter table (extended with
-    the negated values, which keeps 1 + t^2 square)."""
+    the negated values, which keeps 1 + t^2 square). Counts above the
+    number of such subsets raise CountTooLarge."""
     if count < 1:
         raise ValueError("count must be >= 1")
     r = _as_rat(radius)
     pool = sorted(set(PYTHAGOREAN_PARAMS) | {-t for t in PYTHAGOREAN_PARAMS})
+    limit = math.comb(len(pool), 4)
+    if count > limit:
+        raise CountTooLarge(f"count {count} exceeds the {limit} quads the parameter pool yields")
     quads: list[CyclicQuad] = []
     for combo in itertools.combinations(pool, 4):
         quads.append(CyclicQuad(r, tuple(point_from_param(t, r) for t in combo)))
@@ -407,10 +439,10 @@ def rational_side_quads(count: int, radius: Fraction | int = 1) -> list[CyclicQu
 
 def rational_sides(quad: CyclicQuad) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four side lengths, which must all be exactly rational."""
-    vs = quad.vertices
+    w, vs = quad.homogeneous
     sides = []
     for i in range(4):
-        root = sqrt_exact(chord_sq(vs[i], vs[(i + 1) % 4]))
+        root = sqrt_exact(Fraction(_dist_sq(vs[i], vs[(i + 1) % 4]), w * w))
         if root is None:
             raise NotRealizable("a chord of this quad is irrational")
         sides.append(root)

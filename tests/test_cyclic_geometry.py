@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ from sulvageom.cyclic_geometry import (
     shoelace_area,
     triquadrilateral,
     xii24_verify,
+    _reflect_across_diameter,
 )
 from sulvageom.exact_numbers import rat, sqrt_exact
 
@@ -48,6 +51,113 @@ def diagonals_perpendicular(quad):
     """Independent dot-product orthogonality oracle."""
     a, b, c, d = quad.vertices
     return (c.x - a.x) * (d.x - b.x) + (c.y - a.y) * (d.y - b.y) == rat(0)
+
+
+# -- Oracle: the Fraction formulas the integer kernel replaced -------------
+
+
+def _sub(p, q):
+    return (p.x - q.x, p.y - q.y)
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def oracle_point(t, r):
+    denom = 1 + t * t
+    return RationalPoint(r * (1 - t * t) / denom, r * 2 * t / denom)
+
+
+def oracle_reflect(p, d):
+    scale = (p.x * d.x + p.y * d.y) * 2 / (d.x * d.x + d.y * d.y)
+    return RationalPoint(scale * d.x - p.x, scale * d.y - p.y)
+
+
+def oracle_foot(a, c, b):
+    base = _sub(c, a)
+    return _dot(_sub(b, a), base) / _dot(base, base)
+
+
+def oracle_cut_params(quad):
+    a, b, c, d = quad.vertices
+    u, v, w = _sub(c, a), _sub(d, b), _sub(b, a)
+    det = _cross(u, v)
+    mu_ac, mu_bd = _cross(w, v) / det, _cross(w, u) / det
+    return mu_ac, mu_bd, RationalPoint(a.x + mu_ac * u[0], a.y + mu_ac * u[1])
+
+
+def oracle_segments_equal_portions(quad):
+    a, b, c, d = quad.vertices
+    mu_ac, mu_bd, _ = oracle_cut_params(quad)
+    return (
+        oracle_foot(a, c, b) == mu_ac
+        and oracle_foot(a, c, d) == mu_ac
+        and oracle_foot(b, d, a) == mu_bd
+        and oracle_foot(b, d, c) == mu_bd
+    )
+
+
+def oracle_bisection_nus(quad):
+    """Where the perpendicular to each side through the diagonal cut meets
+    the opposite side r-s, as nu in r + nu (s - r)."""
+    a, b, c, d = quad.vertices
+    _, _, j = oracle_cut_params(quad)
+    nus = []
+    for p, q, r_, s in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
+        side = _sub(q, p)
+        nus.append(_dot(_sub(j, r_), side) / _dot(_sub(s, r_), side))
+    return nus
+
+
+def oracle_shoelace(quad):
+    vs = quad.vertices
+    return abs(sum(vs[i].x * vs[(i + 1) % 4].y - vs[(i + 1) % 4].x * vs[i].y for i in range(4))) / 2
+
+
+def oracle_diagonals(quad):
+    a, b, c, d = quad.vertices
+    return _dot(_sub(c, a), _sub(c, a)), _dot(_sub(d, b), _sub(d, b))
+
+
+def oracle_sides(quad):
+    vs = quad.vertices
+    return tuple(sqrt_exact(_dot(_sub(vs[(i + 1) % 4], vs[i]), _sub(vs[(i + 1) % 4], vs[i]))) for i in range(4))
+
+
+def assert_kernel_matches_oracle(quad):
+    assert diagonals_cut_params(quad) == oracle_cut_params(quad)
+    ortho = oracle_segments_equal_portions(quad)
+    assert segments_equal_portions(quad) == ortho
+    if ortho:
+        assert brahmagupta_theorem_check(quad) == all(nu == Fraction(1, 2) for nu in oracle_bisection_nus(quad))
+    else:
+        with pytest.raises(PreconditionViolated):
+            brahmagupta_theorem_check(quad)
+    assert shoelace_area(quad) == oracle_shoelace(quad)
+    assert diagonal_lengths_sq(quad) == oracle_diagonals(quad)
+    assert rational_sides(quad) == oracle_sides(quad)
+
+
+@st.composite
+def euclid_param(draw, bits):
+    """t = +-2mn/(m^2 - n^2), so 1 + t^2 is a rational square, with m of the given bit length."""
+    m = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    n = draw(st.integers(1, m - 1))
+    return Fraction(draw(st.sampled_from((1, -1))) * 2 * m * n, m * m - n * n)
+
+
+@st.composite
+def large_bit_inputs(draw):
+    """Four ascending Euclid parameters and a radius, all of one bit size."""
+    bits = draw(st.integers(12, 42))
+    ts = draw(st.lists(euclid_param(bits), min_size=4, max_size=4, unique=True))
+    r = Fraction(draw(st.integers(1, 2**bits)), draw(st.integers(1, 2**bits)))
+    return sorted(ts), r
 
 
 def generic_quads(count, rng_seed=0):
@@ -99,6 +209,28 @@ class TestCyclicQuadValidation:
     def test_wrong_order_rejected(self):
         with pytest.raises(DegenerateQuad):
             CyclicQuad(rat(1), (pt(1, 0), pt(-1, 0), pt(0, 1), pt(0, -1)))
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_nonpositive_radius_rejected(self, r):
+        with pytest.raises(DegenerateQuad, match="must be positive"):
+            CyclicQuad(rat(r), KITE.vertices)
+
+    def test_integer_form(self):
+        assert KITE.homogeneous == (25, ((25, 0), (7, 24), (-25, 0), (7, -24)))
+
+    def test_integer_form_left_out_of_eq_hash_repr(self):
+        twin = CyclicQuad(KITE.r, KITE.vertices)
+        object.__setattr__(twin, "homogeneous", None)
+        assert twin == KITE and hash(twin) == hash(KITE)
+        assert "homogeneous" not in repr(KITE)
+
+    def test_int_radius_equals_rational_radius(self):
+        plain, rational = CyclicQuad(1, KITE.vertices), CyclicQuad(rat(1), KITE.vertices)
+        assert plain == rational and hash(plain) == hash(rational)
+
+    def test_replace_validates_again(self):
+        with pytest.raises(DegenerateQuad):
+            dataclasses.replace(KITE, r=rat(2))
 
 
 class TestAreas:
@@ -371,6 +503,41 @@ class TestRationalSideQuads:
             sides = rational_sides(quad)
             assert all(s > 0 for s in sides)
 
+    def test_count_beyond_the_pool_refused(self):
+        # 61 parameters: the table and its negations, with 0 once.
+        with pytest.raises(CountTooLarge):
+            rational_side_quads(math.comb(61, 4) + 1)
+
     def test_pythagorean_params_really_are(self):
         for t in PYTHAGOREAN_PARAMS:
             assert sqrt_exact(rat(1) + t * t) is not None
+
+
+class TestKernelMatchesOracle:
+    def test_whole_demo_space(self):
+        quads = orthodiagonal_generator(1, DEMO_QUAD_LIMIT)
+        radii = {quad.r for quad in quads}
+        for t in PYTHAGOREAN_PARAMS:
+            for r in radii:
+                assert point_from_param(t, r) == oracle_point(t, r)
+        for quad in quads:
+            a, b, _, d = quad.vertices
+            assert d == oracle_reflect(b, a)
+            assert_kernel_matches_oracle(quad)
+
+    @settings(deadline=None)
+    @given(large_bit_inputs())
+    def test_large_bit_quads(self, inputs):
+        ts, r = inputs
+        points = tuple(point_from_param(t, r) for t in ts)
+        assert points == tuple(oracle_point(t, r) for t in ts)
+        assert_kernel_matches_oracle(CyclicQuad(r, points))
+        # An orthodiagonal quad on the first two: a diameter and a mirrored pair.
+        a, b = points[:2]
+        if b == RationalPoint(-a.x, -a.y):
+            return
+        d = _reflect_across_diameter(b, a)
+        assert d == oracle_reflect(b, a)
+        c = RationalPoint(-a.x, -a.y)
+        quad = CyclicQuad(r, (a, b, c, d) if a.x * b.y - a.y * b.x > 0 else (a, d, c, b))
+        assert_kernel_matches_oracle(quad)
