@@ -57,19 +57,6 @@ def _integer_form(values) -> tuple[int, list[int]]:
     return w, [v.numerator * (w // v.denominator) for v in values]
 
 
-def _sub(p: RationalPoint, q: RationalPoint) -> tuple[Fraction, Fraction]:
-    return (p.x - q.x, p.y - q.y)
-
-
-def _dot(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _along(p: RationalPoint, q: RationalPoint, lam: Fraction) -> RationalPoint:
-    """The point p + lam * (q - p)."""
-    return RationalPoint(p.x + lam * (q.x - p.x), p.y + lam * (q.y - p.y))
-
-
 def _dist_sq(p: tuple[int, int], q: tuple[int, int]) -> int:
     return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
@@ -122,12 +109,6 @@ def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
     n, d = t.numerator, t.denominator
     denom = r.denominator * (d * d + n * n)
     return RationalPoint(Fraction(r.numerator * (d * d - n * n), denom), Fraction(2 * r.numerator * n * d, denom))
-
-
-def chord_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
-    """Exact squared distance between two points."""
-    dx, dy = _sub(p, q)
-    return dx * dx + dy * dy
 
 
 def shoelace_area(quad: CyclicQuad) -> Fraction:
@@ -197,16 +178,6 @@ def triquadrilateral(
     r = _as_rat(r)
     points = tuple(point_from_param(t, r) for t in params)
     return CyclicQuad(r, points)
-
-
-def foot_param(a: RationalPoint, c: RationalPoint, b: RationalPoint) -> Fraction:
-    """Position of the perpendicular foot of b on base a-c, as the exact
-    fraction lambda with H = a + lambda * (c - a)."""
-    base = _sub(c, a)
-    base_sq = _dot(base, base)
-    if base_sq == 0:
-        raise DegenerateBase("base endpoints coincide")
-    return _dot(_sub(b, a), base) / base_sq
 
 
 def diagonals_cut_params(quad: CyclicQuad) -> tuple[Fraction, Fraction, RationalPoint]:
@@ -304,36 +275,44 @@ class HalfOblongReport:
 
 def xii24_verify(t: Fraction | int, u: Fraction | int, r: Fraction | int) -> HalfOblongReport:
     """Check the half-oblong derivation on the triangle with base the
-    diameter through the parameter-t point and apex at parameter u."""
+    diameter through the parameter-t point and apex at parameter u.
+
+    Over one integer denominator w the base ends are a = P/w and c = -a and
+    the apex is b = Q/w. With pp = P.P and qp = Q.P the foot of b sits at
+    lambda = (pp - qp)/(2 pp), the segments are alpha^2 = (pp - qp)^2/(pp w^2)
+    and beta^2 = (pp + qp)^2/(pp w^2), and the height is b minus the foot,
+    (Q pp - qp P)/(w pp). The identities are decided on the numerators over
+    the common denominator (w pp)^2.
+    """
     t = _as_rat(t)
     u = _as_rat(u)
     r = _as_rat(r)
     if t == 0:
         raise DegenerateBase("base parameter must be nonzero")
     a_pt = point_from_param(t, r)
-    c_pt = RationalPoint(-a_pt.x, -a_pt.y)
     b_pt = point_from_param(u, r)
-    if b_pt == a_pt or b_pt == c_pt:
+    w, (px, py, qx, qy) = _integer_form((a_pt.x, a_pt.y, b_pt.x, b_pt.y))
+    if (qx, qy) in ((px, py), (-px, -py)):
         raise DegenerateBase("apex coincides with a base endpoint")
-    gamma_sq = chord_sq(a_pt, c_pt)
-    lam = foot_param(a_pt, c_pt, b_pt)
-    alpha_sq = lam * lam * gamma_sq
-    beta_sq = (rat(1) - lam) * (rat(1) - lam) * gamma_sq
-    h_sq = chord_sq(b_pt, _along(a_pt, c_pt, lam))
-    a_sq = chord_sq(a_pt, b_pt)
-    b_sq = chord_sq(b_pt, c_pt)
+    pp, qp = px * px + py * py, qx * px + qy * py
+    hx, hy = qx * pp - qp * px, qy * pp - qp * py
+    a_num = (qx - px) ** 2 + (qy - py) ** 2
+    b_num = (qx + px) ** 2 + (qy + py) ** 2
+    alpha_num, beta_num = (pp - qp) ** 2, (pp + qp) ** 2
+    h_num = hx * hx + hy * hy
+    wsq = w * w
     return HalfOblongReport(
-        lam=lam,
-        a_sq=a_sq,
-        b_sq=b_sq,
-        gamma_sq=gamma_sq,
-        alpha_sq=alpha_sq,
-        beta_sq=beta_sq,
-        h_sq=h_sq,
-        segment_from_side=(alpha_sq == a_sq - h_sq),
-        segment_from_upright=(beta_sq == b_sq - h_sq),
-        height_is_mean=(h_sq * h_sq == alpha_sq * beta_sq),
-        base_from_sum=(gamma_sq == a_sq + b_sq),
+        lam=Fraction(pp - qp, 2 * pp),
+        a_sq=Fraction(a_num, wsq),
+        b_sq=Fraction(b_num, wsq),
+        gamma_sq=Fraction(4 * pp, wsq),
+        alpha_sq=Fraction(alpha_num, pp * wsq),
+        beta_sq=Fraction(beta_num, pp * wsq),
+        h_sq=Fraction(h_num, wsq * pp * pp),
+        segment_from_side=(alpha_num * pp == a_num * pp * pp - h_num),
+        segment_from_upright=(beta_num * pp == b_num * pp * pp - h_num),
+        height_is_mean=(h_num * h_num == alpha_num * beta_num * pp * pp),
+        base_from_sum=(4 * pp == a_num + b_num),
     )
 
 

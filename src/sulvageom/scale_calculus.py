@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 
 class NonPositiveParts(ValueError):
@@ -80,7 +79,7 @@ def removal_form(c: Correspondence) -> tuple[int, int]:
 @dataclass(frozen=True)
 class DerivationStep:
     description: str
-    before: Optional[Correspondence]
+    before: Correspondence | None
     after: Correspondence
     anchor: str
 

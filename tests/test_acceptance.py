@@ -16,7 +16,6 @@ from sulvageom.cyclic_geometry import (
     RationalPoint,
     brahmagupta_radicand,
     brahmagupta_theorem_check,
-    chord_sq,
     crude_area,
     heart_cord,
     orthodiagonal_generator,
@@ -38,6 +37,10 @@ from sulvageom.sulva_rules import (
     sqrt2_i61,
     verify_decompositions,
 )
+
+
+def chord_sq(p, q):
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
 
 
 def passed(n, label):

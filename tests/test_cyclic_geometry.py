@@ -13,6 +13,7 @@ from sulvageom.cyclic_geometry import (
     CyclicQuad,
     DegenerateBase,
     DegenerateQuad,
+    HalfOblongReport,
     NotRealizable,
     PreconditionViolated,
     PYTHAGOREAN_PARAMS,
@@ -20,11 +21,9 @@ from sulvageom.cyclic_geometry import (
     ZeroPerpendicular,
     brahmagupta_radicand,
     brahmagupta_theorem_check,
-    chord_sq,
     crude_area,
     diagonal_lengths_sq,
     diagonals_cut_params,
-    foot_param,
     heart_cord,
     orthodiagonal_generator,
     point_from_param,
@@ -66,6 +65,11 @@ def _dot(u, v):
 
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def oracle_chord_sq(p, q):
+    dx, dy = _sub(p, q)
+    return dx * dx + dy * dy
 
 
 def oracle_point(t, r):
@@ -121,12 +125,45 @@ def oracle_shoelace(quad):
 
 def oracle_diagonals(quad):
     a, b, c, d = quad.vertices
-    return _dot(_sub(c, a), _sub(c, a)), _dot(_sub(d, b), _sub(d, b))
+    return oracle_chord_sq(c, a), oracle_chord_sq(d, b)
 
 
 def oracle_sides(quad):
     vs = quad.vertices
-    return tuple(sqrt_exact(_dot(_sub(vs[(i + 1) % 4], vs[i]), _sub(vs[(i + 1) % 4], vs[i]))) for i in range(4))
+    return tuple(sqrt_exact(oracle_chord_sq(vs[(i + 1) % 4], vs[i])) for i in range(4))
+
+
+def oracle_xii24(t, u, r):
+    """The half-oblong check as Fraction vector algebra: the foot of the apex
+    b at a + lam (c - a) on the diameter a-c, and every length squared."""
+    if t == 0:
+        raise DegenerateBase("base parameter must be nonzero")
+    a_pt = oracle_point(t, r)
+    c_pt = RationalPoint(-a_pt.x, -a_pt.y)
+    b_pt = oracle_point(u, r)
+    if b_pt in (a_pt, c_pt):
+        raise DegenerateBase("apex coincides with a base endpoint")
+    gamma_sq = oracle_chord_sq(a_pt, c_pt)
+    lam = oracle_foot(a_pt, c_pt, b_pt)
+    foot = RationalPoint(a_pt.x + lam * (c_pt.x - a_pt.x), a_pt.y + lam * (c_pt.y - a_pt.y))
+    alpha_sq = lam * lam * gamma_sq
+    beta_sq = (1 - lam) * (1 - lam) * gamma_sq
+    h_sq = oracle_chord_sq(b_pt, foot)
+    a_sq = oracle_chord_sq(a_pt, b_pt)
+    b_sq = oracle_chord_sq(b_pt, c_pt)
+    return HalfOblongReport(
+        lam=lam,
+        a_sq=a_sq,
+        b_sq=b_sq,
+        gamma_sq=gamma_sq,
+        alpha_sq=alpha_sq,
+        beta_sq=beta_sq,
+        h_sq=h_sq,
+        segment_from_side=(alpha_sq == a_sq - h_sq),
+        segment_from_upright=(beta_sq == b_sq - h_sq),
+        height_is_mean=(h_sq * h_sq == alpha_sq * beta_sq),
+        base_from_sum=(gamma_sq == a_sq + b_sq),
+    )
 
 
 def assert_kernel_matches_oracle(quad):
@@ -141,6 +178,17 @@ def assert_kernel_matches_oracle(quad):
     assert shoelace_area(quad) == oracle_shoelace(quad)
     assert diagonal_lengths_sq(quad) == oracle_diagonals(quad)
     assert rational_sides(quad) == oracle_sides(quad)
+
+
+def assert_xii24_matches_oracle(t, u, r):
+    try:
+        expected = oracle_xii24(t, u, r)
+    except DegenerateBase as exc:
+        with pytest.raises(DegenerateBase) as raised:
+            xii24_verify(t, u, r)
+        assert str(raised.value) == str(exc)
+    else:
+        assert xii24_verify(t, u, r) == expected
 
 
 @st.composite
@@ -158,6 +206,23 @@ def large_bit_inputs(draw):
     ts = draw(st.lists(euclid_param(bits), min_size=4, max_size=4, unique=True))
     r = Fraction(draw(st.integers(1, 2**bits)), draw(st.integers(1, 2**bits)))
     return sorted(ts), r
+
+
+@st.composite
+def xii24_inputs(draw):
+    """A base parameter t, an apex parameter u and a radius: Euclid
+    parameters of 12 to 42 bits or plain rationals of either sign, with u
+    now and then on a base endpoint (t itself or the opposite point -1/t)."""
+    bits = draw(st.integers(12, 42))
+    param = st.one_of(euclid_param(bits), st.fractions(min_value=-30, max_value=30))
+    t, u = draw(param), draw(param)
+    pick = draw(st.integers(0, 9))
+    if pick == 0:
+        u = t
+    elif pick == 1 and t != 0:
+        u = -1 / t
+    r = Fraction(draw(st.integers(1, 2**bits)), draw(st.integers(1, 2**bits)))
+    return t, u, r
 
 
 def generic_quads(count, rng_seed=0):
@@ -183,11 +248,6 @@ class TestPointsAndChords:
 
     def test_param_one(self):
         assert point_from_param(rat(1), rat(1)) == pt(0, 1)
-
-    def test_chord_sq(self):
-        assert chord_sq(pt(1, 0), pt((7, 25), (24, 25))) == rat(36, 25)
-        assert chord_sq(pt(1, 0), pt(1, 0)) == rat(0)
-        assert chord_sq(pt(1, 0), pt(-1, 0)) == rat(4)
 
     @given(t=st.fractions(), r=st.fractions(min_value="1/10", max_value=10))
     def test_always_on_circle(self, t, r):
@@ -313,7 +373,7 @@ class TestTriquadrilateral:
     def test_rotated_square(self):
         # parameters a quarter-turn apart trace a square
         quad = triquadrilateral(rat(1, 2), rat(3), rat(-2), rat(-1, 3), rat(1))
-        sides = [chord_sq(quad.vertices[i], quad.vertices[(i + 1) % 4]) for i in range(4)]
+        sides = [oracle_chord_sq(quad.vertices[i], quad.vertices[(i + 1) % 4]) for i in range(4)]
         assert len(set(sides)) == 1
         assert diagonal_lengths_sq(quad) == (rat(4), rat(4))
 
@@ -321,9 +381,9 @@ class TestTriquadrilateral:
         r = rat(5, 2)
         quad = triquadrilateral(rat(3, 4), rat(24, 7), rat(-4, 3), rat(-1, 4), r)
         a_pt, b_pt, c_pt = quad.vertices[:3]
-        gamma = sqrt_exact(chord_sq(a_pt, c_pt))
-        a = sqrt_exact(chord_sq(a_pt, b_pt))
-        b = sqrt_exact(chord_sq(b_pt, c_pt))
+        gamma = sqrt_exact(oracle_chord_sq(a_pt, c_pt))
+        a = sqrt_exact(oracle_chord_sq(a_pt, b_pt))
+        b = sqrt_exact(oracle_chord_sq(b_pt, c_pt))
         cross = (c_pt.x - a_pt.x) * (b_pt.y - a_pt.y) - (c_pt.y - a_pt.y) * (b_pt.x - a_pt.x)
         h = abs(cross) / gamma
         assert heart_cord(a, b, h) == r
@@ -334,17 +394,6 @@ class TestTriquadrilateral:
 
 
 class TestSegmentsAndPortions:
-    def test_foot_param_kite_apex(self):
-        lam = foot_param(pt(1, 0), pt(-1, 0), pt((7, 25), (24, 25)))
-        assert lam == rat(9, 25)
-
-    def test_foot_param_symmetric(self):
-        assert foot_param(pt(1, 0), pt(-1, 0), pt(0, 1)) == rat(1, 2)
-
-    def test_foot_param_degenerate(self):
-        with pytest.raises(DegenerateBase):
-            foot_param(pt(1, 0), pt(1, 0), pt(0, 1))
-
     def test_cut_params_square(self):
         mu_ac, mu_bd, j = diagonals_cut_params(UNIT_SQUARE)
         assert (mu_ac, mu_bd) == (rat(1, 2), rat(1, 2))
@@ -541,3 +590,25 @@ class TestKernelMatchesOracle:
         c = RationalPoint(-a.x, -a.y)
         quad = CyclicQuad(r, (a, b, c, d) if a.x * b.y - a.y * b.x > 0 else (a, d, c, b))
         assert_kernel_matches_oracle(quad)
+
+    @pytest.mark.parametrize(
+        "t, u, r",
+        [
+            # the golden and README xii24 argvs, at the CLI's unit radius
+            ("3/4", "7", "1"),
+            ("5/12", "2/3", "1"),
+            ("-3/5", "7", "1"),
+            # the TestHalfOblong inputs
+            ("3/4", "24/7", "5/2"),
+            ("0", "1/2", "1"),
+            ("2", "2", "1"),
+            ("2", "-1/2", "1"),
+        ],
+    )
+    def test_xii24_fixed_cases(self, t, u, r):
+        assert_xii24_matches_oracle(Fraction(t), Fraction(u), Fraction(r))
+
+    @settings(deadline=None)
+    @given(xii24_inputs())
+    def test_xii24_large_bit(self, inputs):
+        assert_xii24_matches_oracle(*inputs)
