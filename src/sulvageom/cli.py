@@ -8,6 +8,7 @@ realizable, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -230,7 +231,9 @@ def _nonnegative_rational(text: str) -> Fraction:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sulvageom",
         description="Exact rational evaluation of the circle-square rules and cyclic quadrilateral propositions.",

@@ -9,6 +9,7 @@ has 1 + t^2 a rational square, which makes every chord rational.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -345,12 +346,21 @@ _DEMO_RADII: tuple[Fraction, ...] = (rat(1), rat(2), rat(5, 2), rat(3))
 DEMO_QUAD_LIMIT = math.lcm(len(PYTHAGOREAN_PARAMS) * (len(PYTHAGOREAN_PARAMS) - 1), len(_DEMO_RADII))
 
 
-def _reflect_across_diameter(p: RationalPoint, d: RationalPoint) -> RationalPoint:
-    """Mirror p across the line through the origin and d:
-    2 (p.d) d / (d.d) - p, on integers over one common denominator g."""
-    g, (px, py, dx, dy) = _integer_form((p.x, p.y, d.x, d.y))
-    dot, dd = px * dx + py * dy, dx * dx + dy * dy
-    return RationalPoint(Fraction(2 * dot * dx - dd * px, g * dd), Fraction(2 * dot * dy - dd * py, g * dd))
+@functools.cache
+def _demo_point(ti: int, ri: int) -> tuple[RationalPoint, tuple[int, int, int]]:
+    """Table entry ti on demo radius ri, and its integer form (X, Y, D) with
+    D > 0. Filled on first use; it never holds more than the 31 x 4 grid."""
+    p = point_from_param(PYTHAGOREAN_PARAMS[ti], _DEMO_RADII[ri])
+    big_d, (x, y) = _integer_form((p.x, p.y))
+    return p, (x, y, big_d)
+
+
+def _reflect_across_diameter(b: tuple[int, int, int], a: tuple[int, int, int]) -> RationalPoint:
+    """Mirror b across the line through the origin and a, both in integer
+    form (X, Y, D): (2 (B.A) A - (A.A) B) / (D_b A.A), with no lcm."""
+    (bx, by, bd), (ax, ay, _) = b, a
+    dot, aa = bx * ax + by * ay, ax * ax + ay * ay
+    return RationalPoint(Fraction(2 * dot * ax - aa * bx, bd * aa), Fraction(2 * dot * ay - aa * by, bd * aa))
 
 
 def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
@@ -378,21 +388,19 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
         k += 1
         if ti == ui:
             continue
-        t = PYTHAGOREAN_PARAMS[ti]
-        u = PYTHAGOREAN_PARAMS[ui]
-        r = _DEMO_RADII[len(quads) % len(_DEMO_RADII)]
-        a = point_from_param(t, r)
+        ri = len(quads) % len(_DEMO_RADII)
+        a, big_a = _demo_point(ti, ri)
+        b, big_b = _demo_point(ui, ri)
         c = RationalPoint(-a.x, -a.y)
-        b = point_from_param(u, r)
         if b in (a, c):
             continue
-        d = _reflect_across_diameter(b, a)
-        # (b - a) x (c - a) with c = -a is 2 (a x b).
-        orient = a.x * b.y - a.y * b.x
+        d = _reflect_across_diameter(big_b, big_a)
+        # (b - a) x (c - a) with c = -a is 2 (a x b), of the sign of A x B as D > 0.
+        orient = big_a[0] * big_b[1] - big_a[1] * big_b[0]
         if orient == 0:
             continue
         order = (a, b, c, d) if orient > 0 else (a, d, c, b)
-        quads.append(CyclicQuad(r, order))
+        quads.append(CyclicQuad(_DEMO_RADII[ri], order))
     return quads
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sulvageom import cyclic_geometry as geom
-from sulvageom.cli import Report, cli_main, render_report
+from sulvageom.cli import Report, build_parser, cli_main, render_report
 from sulvageom.exact_numbers import rat
 
 
@@ -217,12 +217,45 @@ class TestDeterminism:
         assert first == second
 
 
-def test_python_dash_m_entry_point():
-    root = Path(__file__).resolve().parents[1]
+class TestCachedParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_carried_between_calls(self, capsys):
+        golden = Path(__file__).parent / "golden" / "quad-demo-seed-9.md"
+        argv = ["quad", "demo", "--seed", "9", "--count", "6", "--format", "markdown"]
+        first = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["xii24", "-x", "7"])
+        assert excinfo.value.code == 2
+        assert cli_main(["quad", "demo", "--count", "1861"]) == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == first == (0, golden.read_text())
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports the package from this checkout."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sulvageom", "sqrt2"], capture_output=True, env=env, timeout=60
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=60)
+
+
+def test_python_dash_m_entry_point():
+    proc = run_python("-m", "sulvageom", "sqrt2")
     assert proc.returncode == 0
-    assert proc.stdout == (root / "tests" / "golden" / "sqrt2.txt").read_bytes()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "sqrt2.txt").read_bytes()
+
+
+def test_import_builds_neither_cache():
+    # The parser and the demo's point grid are built on first use, so an
+    # import costs neither.
+    proc = run_python(
+        "-c",
+        "from sulvageom import cli, cyclic_geometry as g; "
+        "print(cli.build_parser.cache_info().currsize, g._demo_point.cache_info().currsize)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"0", b"0"]

@@ -33,6 +33,8 @@ from sulvageom.cyclic_geometry import (
     shoelace_area,
     triquadrilateral,
     xii24_verify,
+    _DEMO_RADII,
+    _demo_point,
     _reflect_across_diameter,
 )
 from sulvageom.exact_numbers import rat, sqrt_exact
@@ -164,6 +166,39 @@ def oracle_xii24(t, u, r):
         height_is_mean=(h_sq * h_sq == alpha_sq * beta_sq),
         base_from_sum=(gamma_sq == a_sq + b_sq),
     )
+
+
+def oracle_orthodiagonal_generator(seed, count):
+    """The demo walk as it ran before the point grid: two tan-half-angle
+    points per quad and a Fraction reflection."""
+    n = len(PYTHAGOREAN_PARAMS)
+    quads = []
+    k = seed - 1
+    while len(quads) < count:
+        ti = k % n
+        ui = (k + 1 + k // n) % n
+        k += 1
+        if ti == ui:
+            continue
+        r = _DEMO_RADII[len(quads) % len(_DEMO_RADII)]
+        a = point_from_param(PYTHAGOREAN_PARAMS[ti], r)
+        c = RationalPoint(-a.x, -a.y)
+        b = point_from_param(PYTHAGOREAN_PARAMS[ui], r)
+        if b in (a, c):
+            continue
+        d = oracle_reflect(b, a)
+        orient = a.x * b.y - a.y * b.x
+        if orient == 0:
+            continue
+        quads.append(CyclicQuad(r, (a, b, c, d) if orient > 0 else (a, d, c, b)))
+    return quads
+
+
+def integer_form(p):
+    """(X, Y, D) with p = (X/D, Y/D), over the product of the denominators
+    rather than their lcm."""
+    big_d = p.x.denominator * p.y.denominator
+    return p.x.numerator * p.y.denominator, p.y.numerator * p.x.denominator, big_d
 
 
 def assert_kernel_matches_oracle(quad):
@@ -545,6 +580,17 @@ class TestOrthodiagonalGenerator:
         with pytest.raises(CountTooLarge):
             orthodiagonal_generator(1, DEMO_QUAD_LIMIT + 1)
 
+    def test_matches_the_pointwise_oracle(self):
+        # The seeds shift the radius phase; together they reach all 930 x 4
+        # (pair, radius) combinations of the walk.
+        for seed in (1, 2, 3, 4, 12345):
+            assert orthodiagonal_generator(seed, DEMO_QUAD_LIMIT) == oracle_orthodiagonal_generator(seed, DEMO_QUAD_LIMIT)
+
+    def test_point_grid_holds_no_more_than_the_grid(self):
+        for seed in (1, 2):
+            orthodiagonal_generator(seed, DEMO_QUAD_LIMIT)
+        assert _demo_point.cache_info().currsize <= len(PYTHAGOREAN_PARAMS) * len(_DEMO_RADII)
+
 
 class TestRationalSideQuads:
     def test_all_chords_rational(self):
@@ -585,7 +631,7 @@ class TestKernelMatchesOracle:
         a, b = points[:2]
         if b == RationalPoint(-a.x, -a.y):
             return
-        d = _reflect_across_diameter(b, a)
+        d = _reflect_across_diameter(integer_form(b), integer_form(a))
         assert d == oracle_reflect(b, a)
         c = RationalPoint(-a.x, -a.y)
         quad = CyclicQuad(r, (a, b, c, d) if a.x * b.y - a.y * b.x > 0 else (a, d, c, b))
