@@ -130,6 +130,18 @@ class TestI59Trace:
             (232, 204),
         ]
 
+    def test_step_labels(self):
+        labels = [s.after.labels for s in derive_i59_trace().steps]
+        assert labels == [
+            ("half-diagonal", "half-side"),
+            ("half-diagonal", "half-side"),
+            ("half-diagonal", "excess E"),
+            ("half-side", "excess e"),
+            ("diameter", "side"),
+            ("diameter", "side"),
+            ("diameter", "side"),
+        ]
+
     def test_final_and_removal(self):
         trace = derive_i59_trace()
         assert (trace.final.p, trace.final.q) == (232, 204)
