@@ -122,7 +122,7 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
     for i, step in enumerate(trace.steps, start=1):
         entry = {
             "description": step.description,
-            "before": (step.before.p, step.before.q) if step.before else None,
+            "before": steps[-1]["after"] if steps else None,
             "after": (step.after.p, step.after.q),
             "anchor": step.anchor,
         }

@@ -7,6 +7,7 @@ from sulvageom.exact_numbers import rat, to_decimal
 from sulvageom.sulva_rules import (
     NonPositiveSide,
     OutOfRange,
+    RuleValue,
     VERDICT_EQUAL,
     VERDICT_RESIDUAL,
     circulature_i58,
@@ -41,6 +42,10 @@ class TestSqrt2Rule:
         v = sqrt2_i61().value
         assert rat(1414213, 10**6) < v < rat(1414216, 10**6)
         assert to_decimal(v, 6) == "1.414215"
+
+    def test_terms_must_sum_to_value(self):
+        with pytest.raises(ValueError, match="term list does not sum"):
+            RuleValue(rat(1), (rat(1, 2),))
 
 
 class TestCirculature:
