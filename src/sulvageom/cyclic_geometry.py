@@ -19,7 +19,8 @@ from .exact_numbers import rat, sqrt_exact
 
 
 class DegenerateQuad(ValueError):
-    """Coincident, collinear, or out-of-order vertices."""
+    """A nonpositive radius, or vertices off the circle, coincident, or out of
+    counterclockwise order."""
 
 
 class DegenerateBase(ValueError):
@@ -64,8 +65,10 @@ def _dist_sq(p: tuple[int, int], q: tuple[int, int]) -> int:
 
 @dataclass(frozen=True)
 class CyclicQuad:
-    """Four distinct points on the circle x^2 + y^2 = r^2, in one convex
-    counterclockwise sweep. Collinear triples are rejected as degenerate.
+    """Four pairwise distinct points on the circle x^2 + y^2 = r^2, r > 0, in
+    one strictly counterclockwise sweep. Only this constructor checks that;
+    the predicates below rely on the convex quad it makes, whose area is
+    positive and whose diagonals cross.
 
     ``homogeneous`` is the same quad over one integer denominator:
     ``(w, points)``, with w the least common denominator of r and the eight
@@ -92,8 +95,6 @@ class CyclicQuad:
         for i in range(4):
             (ax, ay), (bx, by), (cx, cy) = points[i], points[(i + 1) % 4], points[(i + 2) % 4]
             turn = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-            if turn == 0:
-                raise DegenerateQuad("three consecutive vertices are collinear")
             if turn < 0:
                 raise DegenerateQuad("vertices are not in counterclockwise circular order")
         object.__setattr__(self, "homogeneous", (w, points))
@@ -116,9 +117,7 @@ def shoelace_area(quad: CyclicQuad) -> Fraction:
     """Exact positive area by the surveyor's formula over the vertex order."""
     w, vs = quad.homogeneous
     total = sum(vs[i][0] * vs[(i + 1) % 4][1] - vs[(i + 1) % 4][0] * vs[i][1] for i in range(4))
-    if total == 0:
-        raise DegenerateQuad("zero area")
-    return Fraction(abs(total), 2 * w * w)
+    return Fraction(total, 2 * w * w)
 
 
 def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
@@ -173,30 +172,19 @@ def triquadrilateral(
     """Complete the triangle at parameters t1, t2, t3 with a fourth vertex
     t4 on the same circle. The parameters must already trace one convex
     counterclockwise sweep."""
-    params = tuple(_as_rat(t) for t in (t1, t2, t3, t4))
-    if len(set(params)) != 4:
-        raise DegenerateQuad("parameters must be pairwise distinct")
     r = _as_rat(r)
-    points = tuple(point_from_param(t, r) for t in params)
-    return CyclicQuad(r, points)
+    return CyclicQuad(r, tuple(point_from_param(t, r) for t in (t1, t2, t3, t4)))
 
 
-def diagonals_cut_params(quad: CyclicQuad) -> tuple[Fraction, Fraction, RationalPoint]:
-    """Where the diagonals meet: J = A + mu_ac (C - A) = B + mu_bd (D - B)."""
-    w, ((ax, ay), (bx, by), (cx, cy), (dx, dy)) = quad.homogeneous
+def diagonals_cut_params(quad: CyclicQuad) -> tuple[Fraction, Fraction]:
+    """The parameters (mu_ac, mu_bd) of the point J where the diagonals cross:
+    J = A + mu_ac (C - A) = B + mu_bd (D - B)."""
+    _, ((ax, ay), (bx, by), (cx, cy), (dx, dy)) = quad.homogeneous
     ux, uy = cx - ax, cy - ay
     vx, vy = dx - bx, dy - by
     ex, ey = bx - ax, by - ay
     det = ux * vy - uy * vx
-    if det == 0:
-        raise DegenerateQuad("diagonals are parallel")
-    n_ac = ex * vy - ey * vx
-    n_bd = ex * uy - ey * ux
-    return (
-        Fraction(n_ac, det),
-        Fraction(n_bd, det),
-        RationalPoint(Fraction(ax * det + n_ac * ux, w * det), Fraction(ay * det + n_ac * uy, w * det)),
-    )
+    return Fraction(ex * vy - ey * vx, det), Fraction(ex * uy - ey * ux, det)
 
 
 def _feet_at(o: tuple[int, int], e: tuple[int, int], apexes: tuple[tuple[int, int], ...], mu: Fraction) -> bool:
@@ -216,7 +204,7 @@ def segments_equal_portions(quad: CyclicQuad) -> bool:
     source text's angle-free way of saying so.
     """
     _, (a, b, c, d) = quad.homogeneous
-    mu_ac, mu_bd, _ = diagonals_cut_params(quad)
+    mu_ac, mu_bd = diagonals_cut_params(quad)
     return _feet_at(a, c, (b, d), mu_ac) and _feet_at(b, d, (a, c), mu_bd)
 
 
@@ -227,15 +215,13 @@ def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
     if not segments_equal_portions(quad):
         raise PreconditionViolated("diagonals are not perpendicular")
     _, (a, b, c, d) = quad.homogeneous
-    mu_ac, _, _ = diagonals_cut_params(quad)
+    mu_ac, _ = diagonals_cut_params(quad)
     n, m = mu_ac.numerator, mu_ac.denominator
     # m J = m A + n (C - A), an integer point.
     jx, jy = m * a[0] + n * (c[0] - a[0]), m * a[1] + n * (c[1] - a[1])
     for p, q, r_, s in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
         sx, sy = q[0] - p[0], q[1] - p[1]
         denom = (s[0] - r_[0]) * sx + (s[1] - r_[1]) * sy
-        if denom == 0:
-            raise DegenerateQuad("perpendicular line is parallel to the opposite side")
         # The perpendicular meets line r_-s at r_ + nu (s - r_), where
         # nu = ((J - r_).side) / denom; the midpoint is nu = 1/2.
         if 2 * ((jx - m * r_[0]) * sx + (jy - m * r_[1]) * sy) != m * denom:
@@ -391,27 +377,24 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
         ri = len(quads) % len(_DEMO_RADII)
         a, big_a = _demo_point(ti, ri)
         b, big_b = _demo_point(ui, ri)
+        # b is neither a nor -a: the table's parameters are distinct and >= 0, and -a sits at -1/t.
         c = RationalPoint(-a.x, -a.y)
-        if b in (a, c):
-            continue
         d = _reflect_across_diameter(big_b, big_a)
         # (b - a) x (c - a) with c = -a is 2 (a x b), of the sign of A x B as D > 0.
         orient = big_a[0] * big_b[1] - big_a[1] * big_b[0]
-        if orient == 0:
-            continue
         order = (a, b, c, d) if orient > 0 else (a, d, c, b)
         quads.append(CyclicQuad(_DEMO_RADII[ri], order))
     return quads
 
 
-def rational_side_quads(count: int, radius: Fraction | int = 1) -> list[CyclicQuad]:
-    """Cyclic quads whose four chords are all exactly rational, built from
-    ascending 4-subsets of the Pythagorean parameter table (extended with
-    the negated values, which keeps 1 + t^2 square). Counts above the
-    number of such subsets raise CountTooLarge."""
+def rational_side_quads(count: int) -> list[CyclicQuad]:
+    """Cyclic quads on the unit circle whose four chords are all exactly
+    rational, built from ascending 4-subsets of the Pythagorean parameter
+    table (extended with the negated values, which keeps 1 + t^2 square).
+    Counts above the number of such subsets raise CountTooLarge."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    r = _as_rat(radius)
+    r = rat(1)
     pool = sorted(set(PYTHAGOREAN_PARAMS) | {-t for t in PYTHAGOREAN_PARAMS})
     limit = math.comb(len(pool), 4)
     if count > limit:

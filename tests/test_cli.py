@@ -170,6 +170,8 @@ class TestExitCodes:
             ["area", "-1", "1", "1", "1"],
             ["quad", "demo", "--count", "1861"],
             ["xii24", "-x", "7"],
+            ["quad", "demo", "--count", "abc"],
+            ["sqrt2", "--precision", "1.5"],
         ],
     )
     def test_bad_input_exits_2(self, capsys, argv):

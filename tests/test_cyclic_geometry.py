@@ -202,7 +202,7 @@ def integer_form(p):
 
 
 def assert_kernel_matches_oracle(quad):
-    assert diagonals_cut_params(quad) == oracle_cut_params(quad)
+    assert diagonals_cut_params(quad) == oracle_cut_params(quad)[:2]
     ortho = oracle_segments_equal_portions(quad)
     assert segments_equal_portions(quad) == ortho
     if ortho:
@@ -283,6 +283,10 @@ class TestPointsAndChords:
 
     def test_param_one(self):
         assert point_from_param(rat(1), rat(1)) == pt(0, 1)
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            point_from_param(rat(1, 2), rat(0))
 
     @given(t=st.fractions(), r=st.fractions(min_value="1/10", max_value=10))
     def test_always_on_circle(self, t, r):
@@ -366,6 +370,11 @@ class TestBrahmaguptaRadicand:
         with pytest.raises(NotRealizable):
             brahmagupta_radicand(rat(1), rat(1), rat(0), rat(0))
 
+    def test_negative_side_rejected(self):
+        # Every half-sum factor (31/2, 9/2, 9/2, 9/2) is positive, so only the sign check refuses it.
+        with pytest.raises(NotRealizable, match="nonnegative"):
+            brahmagupta_radicand(rat(-1), rat(10), rat(10), rat(10))
+
     def test_permutation_invariance(self):
         sides = (rat(6, 5), rat(8, 5), rat(7, 5), rat(9, 5))
         reference = brahmagupta_radicand(*sides)
@@ -403,6 +412,10 @@ class TestHeartCord:
         with pytest.raises(ZeroPerpendicular):
             heart_cord(rat(3), rat(4), rat(0))
 
+    def test_negative_side_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            heart_cord(rat(-3), rat(4), rat(1))
+
 
 class TestTriquadrilateral:
     def test_rotated_square(self):
@@ -428,24 +441,30 @@ class TestTriquadrilateral:
             triquadrilateral(rat(1), rat(2), rat(3), rat(1), rat(1))
 
 
+def along(p, q, mu):
+    """The point p + mu (q - p)."""
+    return RationalPoint(p.x + mu * (q.x - p.x), p.y + mu * (q.y - p.y))
+
+
 class TestSegmentsAndPortions:
     def test_cut_params_square(self):
-        mu_ac, mu_bd, j = diagonals_cut_params(UNIT_SQUARE)
+        mu_ac, mu_bd = diagonals_cut_params(UNIT_SQUARE)
         assert (mu_ac, mu_bd) == (rat(1, 2), rat(1, 2))
-        assert j == pt(0, 0)
+        a, _, c, _ = UNIT_SQUARE.vertices
+        assert along(a, c, mu_ac) == pt(0, 0) == oracle_cut_params(UNIT_SQUARE)[2]
 
     def test_cut_params_kite(self):
-        mu_ac, mu_bd, j = diagonals_cut_params(KITE)
+        mu_ac, mu_bd = diagonals_cut_params(KITE)
         assert mu_ac == rat(9, 25)
         assert mu_bd == rat(1, 2)
-        assert j == pt((7, 25), 0)
+        a, _, c, _ = KITE.vertices
+        assert along(a, c, mu_ac) == pt((7, 25), 0) == oracle_cut_params(KITE)[2]
 
     def test_intersection_on_both_diagonals(self):
         for quad in generic_quads(10):
-            mu_ac, mu_bd, j = diagonals_cut_params(quad)
+            mu_ac, mu_bd = diagonals_cut_params(quad)
             a, b, c, d = quad.vertices
-            assert j.x == a.x + mu_ac * (c.x - a.x) and j.y == a.y + mu_ac * (c.y - a.y)
-            assert j.x == b.x + mu_bd * (d.x - b.x) and j.y == b.y + mu_bd * (d.y - b.y)
+            assert along(a, c, mu_ac) == along(b, d, mu_bd) == oracle_cut_params(quad)[2]
             assert rat(0) < mu_ac < rat(1) and rat(0) < mu_bd < rat(1)
 
     def test_square_and_kite_orthodiagonal(self):
@@ -568,6 +587,10 @@ class TestOrthodiagonalGenerator:
         with pytest.raises(ValueError):
             orthodiagonal_generator(1, 0)
 
+    def test_seed_validated(self):
+        with pytest.raises(ValueError, match="seed"):
+            orthodiagonal_generator(0, 1)
+
     def test_limit_is_every_pair_at_every_radius(self):
         assert DEMO_QUAD_LIMIT == 1860
 
@@ -598,10 +621,18 @@ class TestRationalSideQuads:
             sides = rational_sides(quad)
             assert all(s > 0 for s in sides)
 
+    def test_count_validated(self):
+        with pytest.raises(ValueError, match="count"):
+            rational_side_quads(0)
+
     def test_count_beyond_the_pool_refused(self):
         # 61 parameters: the table and its negations, with 0 once.
         with pytest.raises(CountTooLarge):
             rational_side_quads(math.comb(61, 4) + 1)
+
+    def test_irrational_chord_refused(self):
+        with pytest.raises(NotRealizable):
+            rational_sides(triquadrilateral(rat(0), rat(1, 3), rat(5, 2), rat(-2), rat(1)))
 
     def test_pythagorean_params_really_are(self):
         for t in PYTHAGOREAN_PARAMS:
