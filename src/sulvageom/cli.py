@@ -49,7 +49,7 @@ def _fmt_value(value: object, precision: int) -> str:
     return str(value)
 
 
-def render_report(report: Report, fmt: str = "text", precision: int = 12) -> str:
+def render_report(report: Report, fmt: str, precision: int) -> str:
     """Deterministic rendering; rationals appear as num/den, with a
     truncated decimal annotation in the human-readable formats."""
     if fmt == "json":
@@ -94,12 +94,12 @@ def _cmd_sqrt2(args: argparse.Namespace) -> Report:
 
 
 def _cmd_pi(args: argparse.Namespace) -> Report:
-    if args.rule == "i59":
+    if args.rule == "i58":
+        ratio = rules.quadrature_ratio_i58()
+    elif args.rule == "i59":
         ratio = rules.quadrature_ratio_i59()
-    elif args.rule == "i60":
+    else:
         ratio = rules.quadrature_ratio_i60()
-    else:  # i58, via the inverted circulature at the I.61-62 diagonal value
-        ratio = rat(1) / rules.diameter_over_side_i58(rules.sqrt2_i61().value)
     report = Report(f"Circle constant implied by rule {args.rule}")
     report.add("result", [("side over diameter", ratio)] + _pi_error_rows(rules.implied_pi(ratio), args.precision))
     return report
@@ -220,6 +220,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Largest --precision: each decimal annotation scales its value by 10**precision.
+MAX_PRECISION = 1000
+
+
+def _precision(text: str) -> int:
+    """argparse type for --precision: an integer from 1 to MAX_PRECISION."""
+    value = _positive_int(text)
+    if value > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"expected an integer <= {MAX_PRECISION}, got {text!r}")
+    return value
+
+
 def _nonnegative_rational(text: str) -> Fraction:
     """argparse type for side lengths."""
     try:
@@ -240,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "markdown", "json"), default="text")
-    common.add_argument("--precision", type=_positive_int, default=12, help="decimal digits in annotations")
+    common.add_argument("--precision", type=_precision, default=12, help="decimal digits in annotations")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

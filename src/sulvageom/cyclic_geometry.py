@@ -18,25 +18,12 @@ from fractions import Fraction
 from .exact_numbers import rat, sqrt_exact
 
 
-class DegenerateQuad(ValueError):
-    """A nonpositive radius, or vertices off the circle, coincident, or out of
-    counterclockwise order."""
-
-
 class DegenerateBase(ValueError):
     """A projection base with coincident endpoints, or a vertex on it."""
 
 
 class NotRealizable(ValueError):
     """Side lengths that no cyclic quadrilateral attains."""
-
-
-class ZeroPerpendicular(ValueError):
-    """The heart-cord needs a nonzero perpendicular."""
-
-
-class PreconditionViolated(ValueError):
-    """The bisection theorem requires perpendicular diagonals."""
 
 
 class CountTooLarge(ValueError):
@@ -85,18 +72,18 @@ class CyclicQuad:
         w, (big_r, *coords) = _integer_form((self.r, *(c for v in self.vertices for c in (v.x, v.y))))
         points = tuple(zip(coords[::2], coords[1::2]))
         if big_r <= 0:
-            raise DegenerateQuad(f"radius {self.r} must be positive")
+            raise ValueError(f"radius {self.r} must be positive")
         rsq = big_r * big_r
         for v, (x, y) in zip(self.vertices, points):
             if x * x + y * y != rsq:
-                raise DegenerateQuad(f"vertex ({v.x}, {v.y}) is off the circle of radius {self.r}")
+                raise ValueError(f"vertex ({v.x}, {v.y}) is off the circle of radius {self.r}")
         if len(set(points)) != 4:
-            raise DegenerateQuad("vertices must be pairwise distinct")
+            raise ValueError("vertices must be pairwise distinct")
         for i in range(4):
             (ax, ay), (bx, by), (cx, cy) = points[i], points[(i + 1) % 4], points[(i + 2) % 4]
             turn = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
             if turn < 0:
-                raise DegenerateQuad("vertices are not in counterclockwise circular order")
+                raise ValueError("vertices are not in counterclockwise circular order")
         object.__setattr__(self, "homogeneous", (w, points))
 
 
@@ -156,7 +143,7 @@ def heart_cord(a: Fraction, b: Fraction, h: Fraction) -> Fraction:
     dropped from their common vertex: R = a*b/(2h). Doubled, it is the
     diameter of the circle touching the corners of the completed figure."""
     if h == 0:
-        raise ZeroPerpendicular("perpendicular must be nonzero")
+        raise ValueError("perpendicular must be nonzero")
     if a <= 0 or b <= 0 or h < 0:
         raise ValueError("sides and perpendicular must be positive")
     return a * b / (h * 2)
@@ -213,7 +200,7 @@ def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
     each side through the diagonal intersection meet the opposite side at
     its exact midpoint? True only if all four sides pass with zero residual."""
     if not segments_equal_portions(quad):
-        raise PreconditionViolated("diagonals are not perpendicular")
+        raise ValueError("diagonals are not perpendicular")
     _, (a, b, c, d) = quad.homogeneous
     mu_ac, _ = diagonals_cut_params(quad)
     n, m = mu_ac.numerator, mu_ac.denominator

@@ -11,22 +11,14 @@ import math
 from fractions import Fraction
 
 
-class ZeroDenominator(ZeroDivisionError, ValueError):
-    """Denominator of zero in a rational constructor. Also a ValueError,
-    since it always comes from a malformed literal or argument."""
-
-
-class NegativeInput(ValueError):
-    """Square root of a negative rational."""
-
-
 def rat(n: int, d: int = 1) -> Fraction:
-    """Build the normalized rational n/d. Raises ZeroDenominator for d = 0.
+    """Build the normalized rational n/d. Raises ValueError for d = 0, since
+    a zero denominator always comes from a malformed literal or argument.
 
     Always takes the two-argument Fraction form, which refuses floats.
     """
     if d == 0:
-        raise ZeroDenominator(f"denominator of {n}/0")
+        raise ValueError(f"denominator of {n}/0")
     return Fraction(n, d)
 
 
@@ -34,11 +26,9 @@ def sqrt_exact(q: Fraction) -> Fraction | None:
     """Exact square root of q, or None when q is not a rational square.
 
     Works on numerator and denominator separately; valid because q is reduced.
-    Never approximates. Raises NegativeInput for q < 0.
+    Never approximates. For q < 0, math.isqrt raises ValueError.
     """
     num, den = q.numerator, q.denominator
-    if num < 0:
-        raise NegativeInput(f"sqrt of negative value {q}")
     rn = math.isqrt(num)
     rd = math.isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -46,9 +36,26 @@ def sqrt_exact(q: Fraction) -> Fraction | None:
     return None
 
 
+def _int_text(n: int) -> str:
+    """str(n) for an integer of any length. Python's str() refuses more than
+    sys.get_int_max_str_digits() digits; past that, n is split at a power of
+    ten and printed in halves, which leaves that process-wide limit alone."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _int_text(-n)
+        k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+        high, low = divmod(n, 10**k)
+        return _int_text(high) + _int_text(low).rjust(k, "0")
+
+
 def to_fraction_text(q: Fraction) -> str:
     """The reduced 'num/den' form, with the slash even for integers."""
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # beyond the int-to-str digit limit
+        return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 def to_decimal(q: Fraction, digits: int) -> str:
@@ -60,7 +67,7 @@ def to_decimal(q: Fraction, digits: int) -> str:
         raise ValueError("digits must be >= 1")
     num, den = q.numerator, q.denominator
     scaled = (abs(num) * 10 ** digits) // den
-    body = str(scaled).rjust(digits + 1, "0")
+    body = _int_text(scaled).rjust(digits + 1, "0")
     sign = "-" if num < 0 else ""
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 

@@ -13,18 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class NonPositiveParts(ValueError):
-    """A correspondence needs at least one part on each side."""
-
-
-class NonPositiveFactor(ValueError):
-    """Refinement factor must be a positive integer."""
-
-
-class RelatedExceedsWhole(ValueError):
-    """Removal form only exists when the related length fits in the whole."""
-
-
 @dataclass(frozen=True)
 class Correspondence:
     p: int
@@ -33,13 +21,13 @@ class Correspondence:
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.q < 1:
-            raise NonPositiveParts(f"({self.p}, {self.q}): parts must be >= 1")
+            raise ValueError(f"({self.p}, {self.q}): parts must be >= 1")
 
 
 def refine(c: Correspondence, k: int) -> Correspondence:
     """Split every part into k subparts: (p, q) -> (k*p, k*q). Ratio unchanged."""
     if k < 1:
-        raise NonPositiveFactor(f"refinement factor {k} must be >= 1")
+        raise ValueError(f"refinement factor {k} must be >= 1")
     return Correspondence(k * c.p, k * c.q, c.labels)
 
 
@@ -51,7 +39,7 @@ def as_ratio(c: Correspondence) -> Fraction:
 def removal_form(c: Correspondence) -> tuple[int, int]:
     """Read (p, q) as 'divide into p parts and remove p - q of them'."""
     if c.q > c.p:
-        raise RelatedExceedsWhole(f"({c.p}, {c.q}): related length exceeds the whole")
+        raise ValueError(f"({c.p}, {c.q}): related length exceeds the whole")
     return (c.p, c.p - c.q)
 
 

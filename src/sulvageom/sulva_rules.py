@@ -18,14 +18,6 @@ from .exact_numbers import rat
 PI_DECIMAL_50 = "3.14159265358979323846264338327950288419716939937510"
 
 
-class NonPositiveSide(ValueError):
-    """The circulature rule needs a positive square side."""
-
-
-class OutOfRange(ValueError):
-    """A side-over-diameter ratio must lie strictly between 0 and 1."""
-
-
 def pi_reference() -> Fraction:
     """The 50-digit pi literal as an exact rational (a stand-in, not pi)."""
     whole, frac = PI_DECIMAL_50.split(".")
@@ -78,7 +70,7 @@ def circulature_i58(s: Fraction, sqrt2: Fraction) -> Fraction:
     r = s/2 + E/3, with E = (sqrt2 - 1) * s/2 the excess of the
     half-diagonal over the half-side."""
     if s <= 0:
-        raise NonPositiveSide(f"side {s} must be positive")
+        raise ValueError(f"side {s} must be positive")
     half = s / 2
     excess = (sqrt2 - rat(1)) * half
     return half + excess / 3
@@ -102,6 +94,12 @@ def diameter_over_side_i58(sqrt2: Fraction) -> Fraction:
     return circulature_i58(rat(1), sqrt2) * 2
 
 
+def quadrature_ratio_i58() -> Fraction:
+    """Rule I.58 inverted as a side-over-diameter ratio, at the I.61-62
+    diagonal value: 1224/1393."""
+    return 1 / diameter_over_side_i58(sqrt2_i61().value)
+
+
 def verify_decompositions() -> list[IdentityReport]:
     """The three exact decomposition checks around s/d = 1224/1393.
 
@@ -113,7 +111,7 @@ def verify_decompositions() -> list[IdentityReport]:
         a nonzero exact residual, which is why the simpler rule is a
         different rule.
     """
-    inverse_ratio = rat(1224, 1393)
+    inverse_ratio = quadrature_ratio_i58()
     v59 = quadrature_ratio_i59()
     alt34 = (rat(1) - rat(33, 8 * 34)) + rat(1, 8 * 34 * 1393)
     simpler = rat(1) - rat(1, 8) + rat(1, 8 * 34)
@@ -132,5 +130,5 @@ def implied_pi(side_over_diameter: Fraction) -> Fraction:
     never speak of pi.
     """
     if not (rat(0) < side_over_diameter < rat(1)):
-        raise OutOfRange(f"ratio {side_over_diameter} must be in (0, 1)")
+        raise ValueError(f"ratio {side_over_diameter} must be in (0, 1)")
     return side_over_diameter * side_over_diameter * 4

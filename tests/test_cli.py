@@ -1,15 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sulvageom import cyclic_geometry as geom
-from sulvageom.cli import Report, build_parser, cli_main, render_report
-from sulvageom.exact_numbers import rat
+from sulvageom.cli import MAX_PRECISION, Report, build_parser, cli_main, render_report
+from sulvageom.exact_numbers import rat, to_decimal
 
 
 def run_cli(capsys, *argv):
@@ -20,18 +25,18 @@ def run_cli(capsys, *argv):
 class TestRenderReport:
     def test_empty_report(self):
         report = Report("Nothing to see")
-        assert render_report(report, "text") == "Nothing to see"
+        assert render_report(report, "text", 12) == "Nothing to see"
 
     def test_json_round_trips_rationals(self):
         report = Report("t")
         report.add("s", [("v", rat(1224, 1393)), ("w", rat(-41, 15512448))])
-        doc = json.loads(render_report(report, "json"))
+        doc = json.loads(render_report(report, "json", 12))
         assert doc["sections"][0]["rows"] == [["v", "1224/1393"], ["w", "-41/15512448"]]
 
     def test_data_replaces_sections_in_json_only(self):
         report = Report("t", data={"v": rat(1, 2), "ok": True})
         report.add("s", [("w", rat(3, 4))])
-        assert json.loads(render_report(report, "json")) == {"v": "1/2", "ok": True}
+        assert json.loads(render_report(report, "json", 12)) == {"v": "1/2", "ok": True}
         assert render_report(report, "text", precision=2) == "t\n\ns\n  w: 3/4 (~ 0.75)"
 
     def test_markdown_headings(self):
@@ -172,6 +177,8 @@ class TestExitCodes:
             ["xii24", "-x", "7"],
             ["quad", "demo", "--count", "abc"],
             ["sqrt2", "--precision", "1.5"],
+            ["sqrt2", "--precision", "1001"],
+            ["pi", "i59", "--precision", "5000"],
         ],
     )
     def test_bad_input_exits_2(self, capsys, argv):
@@ -184,6 +191,11 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err
+
+    def test_precision_bound_is_1000(self, capsys):
+        code, out = run_cli(capsys, "sqrt2", "--precision", "1000")
+        assert code == 0
+        assert f"decimal: {to_decimal(rat(577, 408), 1000)}\n" in out
 
     @pytest.mark.parametrize(
         "target, fake, argv, falses",
@@ -202,6 +214,83 @@ class TestExitCodes:
         code, out = run_cli(capsys, *argv)
         assert code == 1
         assert out.count(": false") == falses
+
+
+def _literal(sign, num, den, pad):
+    return pad + (f"{sign}{num}" if den is None else f"{sign}{num}/{den}") + pad
+
+
+# Command-line literals: small and few-thousand-digit integers, with or
+# without a denominator (zero included), signs, spaces, and some junk.
+_numbers = st.integers(0, 50) | st.builds(lambda k, m: m * 10**k + 1, st.integers(0, 2500), st.integers(1, 9))
+_literals = st.builds(
+    _literal, st.sampled_from(["", "-", "+"]), _numbers, st.none() | _numbers, st.sampled_from(["", " "])
+) | st.sampled_from(["x", "1/2/3", "", "-x", "0/0"])
+_precisions = st.integers(MAX_PRECISION - 2, MAX_PRECISION + 2).map(str) | st.integers(-1, 20).map(str) | _literals
+_options = st.lists(
+    st.tuples(st.just("--format"), st.sampled_from(["text", "markdown", "json"]))
+    | st.tuples(st.just("--precision"), _precisions),
+    max_size=2,
+).map(lambda pairs: [word for pair in pairs for word in pair])
+
+_COMMANDS = [
+    ["sqrt2"], ["pi", "i58"], ["pi", "i59"], ["pi", "i60"], ["verify", "identities"], ["derive", "i59"],
+    ["area"], ["crude"], ["quad", "demo"], ["xii24"],
+]
+_ARITY = {"area": 4, "crude": 4, "xii24": 2}
+
+
+@st.composite
+def _argvs(draw):
+    argv = list(draw(st.sampled_from(_COMMANDS)))
+    if argv[0] in _ARITY:
+        argv += draw(st.lists(_literals, min_size=_ARITY[argv[0]], max_size=_ARITY[argv[0]]))
+    elif argv[0] == "quad":
+        argv += ["--seed", draw(_literals), "--count", draw(st.integers(-1, 4).map(str) | st.just("1861") | _literals)]
+    return argv + draw(_options)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+def test_cli_boundary_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.count("error:") == 1
+    elif code == 1:
+        assert ": false" in out or err.startswith("not realizable: ")
+
+
+class TestLargeValues:
+    # 2200-digit sides: the radicand has about 8800 digits, more than the
+    # 4300 that Python's str() prints by default.
+    SIDES = [Fraction(10**2199 + k, 3) for k in (1, 2, 4, 5)]
+
+    @pytest.mark.parametrize("fmt", ["text", "markdown", "json"])
+    def test_area_prints_the_radicand_in_full(self, capsys, fmt):
+        code, out = run_cli(capsys, "area", *(f"{s.numerator}/{s.denominator}" for s in self.SIDES), "--format", fmt)
+        assert code == 0
+        half_sum = sum(self.SIDES) / 2
+        radicand = math.prod(half_sum - side for side in self.SIDES)
+        assert radicand.denominator != 1
+        whole, rest = divmod(radicand.numerator, radicand.denominator)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = f"{radicand.numerator}/{radicand.denominator}"
+            decimal = f"{whole}.{rest * 10**12 // radicand.denominator:012d}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(text) > limit
+        assert out.count(text) == 2
+        assert (f"(~ {decimal})" in out) == (fmt != "json")
 
 
 class TestDeterminism:

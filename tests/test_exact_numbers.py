@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 
 from sulvageom.cyclic_geometry import point_from_param
 from sulvageom.exact_numbers import (
-    NegativeInput,
-    ZeroDenominator,
     parse_rational,
     rat,
     sqrt_exact,
     to_decimal,
+    to_fraction_text,
 )
 
 nonzero = st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0)
@@ -44,7 +43,7 @@ class TestRat:
         assert rat(332928, 378896) == rat(1224, 1393)
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(ValueError, match="denominator of 1/0"):
             rat(1, 0)
 
     def test_zero_is_zero_over_one(self):
@@ -97,8 +96,18 @@ class TestSqrtExact:
         assert sqrt_exact(rat(4, 9)) == rat(2, 3)
 
     def test_negative_raises(self):
-        with pytest.raises(NegativeInput):
+        with pytest.raises(ValueError, match="nonnegative"):
             sqrt_exact(rat(-1, 4))
+
+
+class TestLongIntegers:
+    # 5001 digits, past the 4300 that Python's str() prints by default; the
+    # zeros in the middle make the printed halves need their padding.
+    def test_fraction_text(self):
+        assert to_fraction_text(rat(-(10**5000 + 7), 3)) == "-1" + "0" * 4999 + "7/3"
+
+    def test_decimal(self):
+        assert to_decimal(rat(-(10**5000 + 7), 3), 2) == "-" + "3" * 4999 + "5.66"
 
 
 class TestToDecimal:

@@ -38,6 +38,7 @@ COMMANDS = [
     ("crude-fractional", ["crude", "1/2", "7/3", "3/4", "5"], 0),
     ("quad-demo-seed-1", ["quad", "demo", "--seed", "1", "--count", "6"], 0),
     ("quad-demo-seed-9", ["quad", "demo", "--seed", "9", "--count", "6"], 0),
+    ("quad-demo-defaults", ["quad", "demo"], 0),
     ("xii24", ["xii24", "3/4", "7"], 0),
     ("xii24-fractional", ["xii24", "5/12", "2/3"], 0),
 ]
