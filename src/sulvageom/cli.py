@@ -68,26 +68,17 @@ def render_report(report: Report, fmt: str, precision: int) -> str:
     return "\n".join(lines)
 
 
-def _pi_error_rows(value: Fraction, precision: int) -> list[Row]:
-    error = rules.pi_reference() - value
-    return [
-        ("implied circle constant", value),
-        ("decimal", to_decimal(value, precision)),
-        ("error vs 50-digit pi literal", to_decimal(error, precision)),
-    ]
-
-
 def _cmd_sqrt2(args: argparse.Namespace) -> Report:
-    rule = rules.sqrt2_i61()
-    residual = rule.value * rule.value - rat(2)
+    terms = rules.sqrt2_i61()
+    value = sum(terms)
     report = Report("Diagonal rule I.61-62")
     report.add(
         "value",
         [
-            ("terms", " + ".join(to_fraction_text(t) for t in rule.term_list)),
-            ("value", rule.value),
-            ("decimal", to_decimal(rule.value, args.precision)),
-            ("square minus 2", residual),
+            ("terms", " + ".join(to_fraction_text(t) for t in terms)),
+            ("value", value),
+            ("decimal", to_decimal(value, args.precision)),
+            ("square minus 2", value * value - rat(2)),
         ],
     )
     return report
@@ -100,8 +91,12 @@ def _cmd_pi(args: argparse.Namespace) -> Report:
         ratio = rules.quadrature_ratio_i59()
     else:
         ratio = rules.quadrature_ratio_i60()
+    value = rules.implied_pi(ratio)
+    rows: list[Row] = [("side over diameter", ratio), ("implied circle constant", value)]
+    rows.append(("decimal", to_decimal(value, args.precision)))
+    rows.append(("error vs 50-digit pi literal", to_decimal(rules.pi_reference() - value, args.precision)))
     report = Report(f"Circle constant implied by rule {args.rule}")
-    report.add("result", [("side over diameter", ratio)] + _pi_error_rows(rules.implied_pi(ratio), args.precision))
+    report.add("result", rows)
     return report
 
 
@@ -115,11 +110,11 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
 
 def _cmd_derive(args: argparse.Namespace) -> Report:
     trace = scale.derive_i59_trace()
-    removal = scale.removal_form(trace.final)
-    final = (trace.final.p, trace.final.q)
+    removal = scale.removal_form(trace[-1].after)
+    final = (trace[-1].after.p, trace[-1].after.q)
     steps = []
     out = Report("Reconstruction of quadrature rule I.59", data={"steps": steps, "final": final, "removal": removal})
-    for i, step in enumerate(trace.steps, start=1):
+    for i, step in enumerate(trace, start=1):
         entry = {
             "description": step.description,
             "before": steps[-1]["after"] if steps else None,
@@ -232,12 +227,17 @@ def _precision(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type for a num/den or integer literal."""
+    try:
+        return parse_rational(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a rational num/den, got {text!r}") from None
+
+
 def _nonnegative_rational(text: str) -> Fraction:
     """argparse type for side lengths."""
-    try:
-        value = parse_rational(text)
-    except ValueError:
-        value = rat(-1)
+    value = _rational(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a rational >= 0, got {text!r}")
     return value
@@ -289,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xii24", parents=[common], help="half-oblong derivation check on the unit circle")
     # Read -3/5 as a negative parameter, as argparse already reads -3.
-    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
-    p.add_argument("t", type=parse_rational)
-    p.add_argument("u", type=parse_rational)
+    p._negative_number_matcher = re.compile(r"^-\d+(/-?\d+)?$")
+    p.add_argument("t", type=_rational)
+    p.add_argument("u", type=_rational)
     p.set_defaults(func=_cmd_xii24)
 
     return parser

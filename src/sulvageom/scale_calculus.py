@@ -50,20 +50,7 @@ class DerivationStep:
     anchor: str
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
-    steps: tuple[DerivationStep, ...]
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("a trace needs at least one step")
-
-    @property
-    def final(self) -> Correspondence:
-        return self.steps[-1].after
-
-
-def derive_i59_trace() -> DerivationTrace:
+def derive_i59_trace() -> tuple[DerivationStep, ...]:
     """The scripted reconstruction of quadrature rule I.59.
 
     Fixed seven-step script, not a search: crude diagonal bounds, the
@@ -81,7 +68,7 @@ def derive_i59_trace() -> DerivationTrace:
     s5 = Correspondence(s4.p + s4.q, s4.p, ("diameter", "side"))
     s6 = s5  # the same correspondence, read as a removal
     s7 = refine(s6, 4)
-    steps = (
+    return (
         DerivationStep(
             "crude lower and upper bounds 4/3 and 3/2 for the diagonal-to-side ratio put the half-side at 9 or 8 "
             "of the half-diagonal's 12 parts; start from 8",
@@ -115,4 +102,3 @@ def derive_i59_trace() -> DerivationTrace:
             "split each part into four: (4 x 58, 4 x 51) = (8 x 29, 204); remove 28 of the 232 parts", s7, "I.59"
         ),
     )
-    return DerivationTrace(steps)

@@ -24,19 +24,6 @@ def pi_reference() -> Fraction:
     return rat(int(whole + frac), 10 ** len(frac))
 
 
-@dataclass(frozen=True)
-class RuleValue:
-    """A rule's value together with the summands exactly as the rule states
-    them; the term structure is data, not just a number."""
-
-    value: Fraction
-    term_list: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.term_list) != self.value:
-            raise ValueError("term list does not sum to the stated value")
-
-
 VERDICT_EQUAL = "exact-equal"
 VERDICT_RESIDUAL = "differs-by-residual"
 
@@ -58,11 +45,10 @@ class IdentityReport:
         return cls(name, left, right, residual, verdict)
 
 
-def sqrt2_i61() -> RuleValue:
-    """Rule I.61-62: the four-term approximation of the square diagonal,
-    1 + 1/3 + 1/12 - 1/408 = 577/408."""
-    terms = (rat(1), rat(1, 3), rat(1, 12), rat(-1, 408))
-    return RuleValue(rat(577, 408), terms)
+def sqrt2_i61() -> tuple[Fraction, ...]:
+    """Rule I.61-62: the four terms of the square diagonal's approximation,
+    1 + 1/3 + 1/12 - 1/408, which sum to 577/408."""
+    return (rat(1), rat(1, 3), rat(1, 12), rat(-1, 408))
 
 
 def circulature_i58(s: Fraction, sqrt2: Fraction) -> Fraction:
@@ -97,7 +83,7 @@ def diameter_over_side_i58(sqrt2: Fraction) -> Fraction:
 def quadrature_ratio_i58() -> Fraction:
     """Rule I.58 inverted as a side-over-diameter ratio, at the I.61-62
     diagonal value: 1224/1393."""
-    return 1 / diameter_over_side_i58(sqrt2_i61().value)
+    return 1 / diameter_over_side_i58(sum(sqrt2_i61()))
 
 
 def verify_decompositions() -> list[IdentityReport]:

@@ -48,9 +48,9 @@ def passed(n, label):
 
 
 def test_criterion_01_sqrt2_rule():
-    rule = sqrt2_i61()
-    assert rule.term_list == (rat(1), rat(1, 3), rat(1, 12), rat(-1, 408))
-    assert rule.value == rat(577, 408)
+    terms = sqrt2_i61()
+    assert terms == (rat(1), rat(1, 3), rat(1, 12), rat(-1, 408))
+    assert sum(terms) == rat(577, 408)
     passed(1, "sqrt2 rule I.61-62 equals 577/408 from its four terms")
 
 
@@ -79,17 +79,17 @@ def test_criterion_04_alternative_decomposition():
 
 def test_criterion_05_derivation_chain():
     trace = derive_i59_trace()
-    assert len(trace.steps) == 7
-    afters = [(s.after.p, s.after.q) for s in trace.steps]
+    assert len(trace) == 7
+    afters = [(s.after.p, s.after.q) for s in trace]
     assert afters[1] == (24, 17)
     assert afters[3] == (51, 7)
     assert afters[4] == (58, 51)          # the diameter's 58 parts
-    assert removal_form(trace.steps[5].after) == (58, 7)
-    assert (trace.final.p, trace.final.q) == (232, 204)
-    assert trace.final.p == 8 * 29
-    assert removal_form(trace.final) == (232, 28)
+    assert removal_form(trace[5].after) == (58, 7)
+    assert (trace[-1].after.p, trace[-1].after.q) == (232, 204)
+    assert trace[-1].after.p == 8 * 29
+    assert removal_form(trace[-1].after) == (232, 28)
     # ratio is settled from step index 4 onward
-    assert {as_ratio(s.after) for s in trace.steps[4:]} == {rat(51, 58)}
+    assert {as_ratio(s.after) for s in trace[4:]} == {rat(51, 58)}
     passed(5, "I.59 derivation: 7 scripted steps ending at (8*29, remove 28)")
 
 

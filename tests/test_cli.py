@@ -1,9 +1,13 @@
+import ast
 import contextlib
 import dataclasses
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sulvageom
 from sulvageom import cyclic_geometry as geom
 from sulvageom.cli import MAX_PRECISION, Report, build_parser, cli_main, render_report
 from sulvageom.exact_numbers import rat, to_decimal
@@ -143,6 +148,7 @@ class TestSubcommands:
         [
             (["xii24", "-3/5", "7"], ["xii24", "--", "-3/5", "7"]),
             (["xii24", "3/4", "-7/2"], ["xii24", "3/4", "--", "-7/2"]),
+            (["xii24", "-3/-5", "7"], ["xii24", "--", "-3/-5", "7"]),
         ],
     )
     def test_xii24_negative_fractions(self, capsys, argv, dashed):
@@ -161,6 +167,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["area", "x", "1", "1", "1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("literal", ["1/0", "x"])
+    def test_bad_rational_names_no_internal_function(self, capsys, literal):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["xii24", literal, "1"])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert f"expected a rational num/den, got {literal!r}" in error
+        assert "parse_rational" not in error
 
     @pytest.mark.parametrize(
         "argv",
@@ -214,6 +229,22 @@ class TestExitCodes:
         code, out = run_cli(capsys, *argv)
         assert code == 1
         assert out.count(": false") == falses
+
+    def test_every_exception_class_is_caught_by_cli_main(self):
+        # A refusal gets its own class only when cli_main tells it apart;
+        # any other refusal is a plain ValueError.
+        modules = [importlib.import_module(f"sulvageom.{m.name}") for m in pkgutil.iter_modules(sulvageom.__path__)]
+        defined = {
+            name
+            for module in modules
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        }
+        tree = ast.parse(inspect.getsource(cli_main))
+        handlers = [node.type for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+        caught = {node.attr for handler in handlers for node in ast.walk(handler) if isinstance(node, ast.Attribute)}
+        assert defined
+        assert defined <= caught
 
 
 def _literal(sign, num, den, pad):

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from sulvageom.exact_numbers import rat
 from sulvageom.scale_calculus import (
     Correspondence,
-    DerivationTrace,
     as_ratio,
     derive_i59_trace,
     refine,
@@ -75,11 +74,11 @@ def test_removal_round_trip(c):
 
 class TestI59Trace:
     def test_step_count(self):
-        assert len(derive_i59_trace().steps) == 7
+        assert len(derive_i59_trace()) == 7
 
     def test_scripted_correspondences(self):
         trace = derive_i59_trace()
-        afters = [(s.after.p, s.after.q) for s in trace.steps]
+        afters = [(s.after.p, s.after.q) for s in trace]
         assert afters == [
             (12, 8),
             (24, 17),
@@ -91,7 +90,7 @@ class TestI59Trace:
         ]
 
     def test_step_labels(self):
-        labels = [s.after.labels for s in derive_i59_trace().steps]
+        labels = [s.after.labels for s in derive_i59_trace()]
         assert labels == [
             ("half-diagonal", "half-side"),
             ("half-diagonal", "half-side"),
@@ -104,27 +103,23 @@ class TestI59Trace:
 
     def test_final_and_removal(self):
         trace = derive_i59_trace()
-        assert (trace.final.p, trace.final.q) == (232, 204)
-        assert removal_form(trace.final) == (232, 28)
-        assert trace.final.p == 8 * 29
+        assert (trace[-1].after.p, trace[-1].after.q) == (232, 204)
+        assert removal_form(trace[-1].after) == (232, 28)
+        assert trace[-1].after.p == 8 * 29
 
     def test_final_ratio(self):
         trace = derive_i59_trace()
-        assert as_ratio(trace.final) == rat(51, 58)
-        assert as_ratio(trace.steps[5].after) == rat(51, 58)
+        assert as_ratio(trace[-1].after) == rat(51, 58)
+        assert as_ratio(trace[5].after) == rat(51, 58)
 
     def test_intermediate_removal_reading(self):
         trace = derive_i59_trace()
-        assert removal_form(trace.steps[5].after) == (58, 7)
+        assert removal_form(trace[5].after) == (58, 7)
 
     def test_ratio_constant_over_last_steps(self):
         trace = derive_i59_trace()
-        ratios = {as_ratio(s.after) for s in trace.steps[4:]}
+        ratios = {as_ratio(s.after) for s in trace[4:]}
         assert ratios == {rat(51, 58)}
 
     def test_anchors_nonempty(self):
-        assert all(s.anchor for s in derive_i59_trace().steps)
-
-    def test_empty_trace_refused(self):
-        with pytest.raises(ValueError, match="at least one step"):
-            DerivationTrace(())
+        assert all(s.anchor for s in derive_i59_trace())
