@@ -231,8 +231,12 @@ def _rational(text: str) -> Fraction:
     """argparse type for a num/den or integer literal."""
     try:
         return parse_rational(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a rational num/den, got {text!r}") from None
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # int()'s refusal of a too-long digit string
+            message = f"an integer in this literal has more than {sys.get_int_max_str_digits()} digits"
+        else:
+            message = f"expected a rational num/den, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _nonnegative_rational(text: str) -> Fraction:

@@ -19,7 +19,7 @@ from .exact_numbers import rat, sqrt_exact
 
 
 class DegenerateBase(ValueError):
-    """A projection base with coincident endpoints, or a vertex on it."""
+    """A half-oblong apex on an end of its base diameter."""
 
 
 class NotRealizable(ValueError):
@@ -258,11 +258,6 @@ def xii24_verify(t: Fraction | int, u: Fraction | int, r: Fraction | int) -> Hal
     (Q pp - qp P)/(w pp). The identities are decided on the numerators over
     the common denominator (w pp)^2.
     """
-    t = _as_rat(t)
-    u = _as_rat(u)
-    r = _as_rat(r)
-    if t == 0:
-        raise DegenerateBase("base parameter must be nonzero")
     a_pt = point_from_param(t, r)
     b_pt = point_from_param(u, r)
     w, (px, py, qx, qy) = _integer_form((a_pt.x, a_pt.y, b_pt.x, b_pt.y))
@@ -381,17 +376,11 @@ def rational_side_quads(count: int) -> list[CyclicQuad]:
     Counts above the number of such subsets raise CountTooLarge."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    r = rat(1)
     pool = sorted(set(PYTHAGOREAN_PARAMS) | {-t for t in PYTHAGOREAN_PARAMS})
     limit = math.comb(len(pool), 4)
     if count > limit:
         raise CountTooLarge(f"count {count} exceeds the {limit} quads the parameter pool yields")
-    quads: list[CyclicQuad] = []
-    for combo in itertools.combinations(pool, 4):
-        quads.append(CyclicQuad(r, tuple(point_from_param(t, r) for t in combo)))
-        if len(quads) == count:
-            break
-    return quads
+    return [triquadrilateral(*combo, 1) for combo in itertools.islice(itertools.combinations(pool, 4), count)]
 
 
 def rational_sides(quad: CyclicQuad) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -8,6 +8,7 @@ Everything here is integer arithmetic; no floats enter or leave.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -36,26 +37,14 @@ def sqrt_exact(q: Fraction) -> Fraction | None:
     return None
 
 
-def _int_text(n: int) -> str:
-    """str(n) for an integer of any length. Python's str() refuses more than
-    sys.get_int_max_str_digits() digits; past that, n is split at a power of
-    ten and printed in halves, which leaves that process-wide limit alone."""
-    try:
-        return str(n)
-    except ValueError:
-        if n < 0:
-            return "-" + _int_text(-n)
-        k = n.bit_length() * 3 // 20  # about half of n's decimal digits
-        high, low = divmod(n, 10**k)
-        return _int_text(high) + _int_text(low).rjust(k, "0")
-
-
 def to_fraction_text(q: Fraction) -> str:
     """The reduced 'num/den' form, with the slash even for integers."""
+    # str() refuses an int past sys.get_int_max_str_digits() digits, and
+    # Decimal prints any length; the f-string is kept as the cheaper common case.
     try:
         return f"{q.numerator}/{q.denominator}"
-    except ValueError:  # beyond the int-to-str digit limit
-        return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+    except ValueError:
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def to_decimal(q: Fraction, digits: int) -> str:
@@ -67,7 +56,7 @@ def to_decimal(q: Fraction, digits: int) -> str:
         raise ValueError("digits must be >= 1")
     num, den = q.numerator, q.denominator
     scaled = (abs(num) * 10 ** digits) // den
-    body = _int_text(scaled).rjust(digits + 1, "0")
+    body = str(Decimal(scaled)).rjust(digits + 1, "0")
     sign = "-" if num < 0 else ""
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 

@@ -20,8 +20,7 @@ PI_DECIMAL_50 = "3.14159265358979323846264338327950288419716939937510"
 
 def pi_reference() -> Fraction:
     """The 50-digit pi literal as an exact rational (a stand-in, not pi)."""
-    whole, frac = PI_DECIMAL_50.split(".")
-    return rat(int(whole + frac), 10 ** len(frac))
+    return Fraction(PI_DECIMAL_50)
 
 
 VERDICT_EQUAL = "exact-equal"

@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,7 +185,7 @@ class TestExitCodes:
             ["sqrt2", "--precision", "0"],
             ["quad", "demo", "--count", "0"],
             ["quad", "demo", "--seed", "0"],
-            ["xii24", "0", "1"],
+            ["xii24", "2", "-1/2"],
             ["xii24", "1", "1"],
             ["crude", "-1", "1", "1", "1"],
             ["area", "-1", "1", "1", "1"],
@@ -322,6 +323,28 @@ class TestLargeValues:
         assert len(text) > limit
         assert out.count(text) == 2
         assert (f"(~ {decimal})" in out) == (fmt != "json")
+
+    @pytest.mark.parametrize(
+        "argv, name", [(["area", "7" * 4301, "1", "1", "1"], "a"), (["xii24", "7" * 4301, "7"], "t")]
+    )
+    def test_literal_past_the_str_limit_exits_2(self, capsys, argv, name):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert captured.err.endswith(
+            f"sulvageom {argv[0]}: error: argument {name}: an integer in this literal has more than 4300 digits\n"
+        )
+        assert "7" * 10 not in captured.err
+
+    def test_side_at_the_str_limit_exits_0(self, capsys):
+        side = "7" * 4300
+        code, out = run_cli(capsys, "area", side, side, side, side)
+        assert code == 0
+        area = next(line for line in out.splitlines() if line.startswith("  area: "))
+        assert Decimal(area.removeprefix("  area: ").removesuffix("/1")) == int(side) ** 2
 
 
 class TestDeterminism:

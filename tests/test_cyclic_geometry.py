@@ -135,8 +135,6 @@ def oracle_sides(quad):
 def oracle_xii24(t, u, r):
     """The half-oblong check as Fraction vector algebra: the foot of the apex
     b at a + lam (c - a) on the diameter a-c, and every length squared."""
-    if t == 0:
-        raise DegenerateBase("base parameter must be nonzero")
     a_pt = oracle_point(t, r)
     c_pt = RationalPoint(-a_pt.x, -a_pt.y)
     b_pt = oracle_point(u, r)
@@ -518,9 +516,11 @@ class TestHalfOblong:
         assert report.lam == rat(1, 2)
         assert report.all_ok
 
-    def test_zero_base_param_rejected(self):
-        with pytest.raises(DegenerateBase):
-            xii24_verify(rat(0), rat(1, 2), rat(1))
+    def test_zero_base_param(self):
+        # t = 0 puts the base on the diameter from (r, 0) to (-r, 0).
+        report = xii24_verify(rat(0), rat(1, 2), rat(1))
+        assert report == oracle_xii24(rat(0), rat(1, 2), rat(1))
+        assert report.all_ok
 
     def test_apex_on_base_rejected(self):
         with pytest.raises(DegenerateBase):
@@ -530,7 +530,7 @@ class TestHalfOblong:
 
     @settings(max_examples=150)
     @given(
-        t=st.fractions(min_value=-30, max_value=30).filter(lambda q: q != 0),
+        t=st.fractions(min_value=-30, max_value=30),
         u=st.fractions(min_value=-30, max_value=30),
         r=st.fractions(min_value="1/5", max_value=5),
     )
@@ -617,6 +617,18 @@ class TestRationalSideQuads:
         for quad in rational_side_quads(25):
             sides = rational_sides(quad)
             assert all(s > 0 for s in sides)
+
+    def test_first_quad(self):
+        # The four least parameters of the pool: -84/13, -60/11, -40/9, -63/16.
+        assert rational_side_quads(1)[0].vertices == (
+            RationalPoint(rat(-6887, 7225), rat(-2184, 7225)),
+            RationalPoint(rat(-3479, 3721), rat(-1320, 3721)),
+            RationalPoint(rat(-1519, 1681), rat(-720, 1681)),
+            RationalPoint(rat(-3713, 4225), rat(-2016, 4225)),
+        )
+
+    def test_shorter_count_is_a_prefix(self):
+        assert rational_side_quads(5) == rational_side_quads(40)[:5]
 
     def test_count_validated(self):
         with pytest.raises(ValueError, match="count"):

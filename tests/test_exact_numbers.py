@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,13 +102,29 @@ class TestSqrtExact:
 
 
 class TestLongIntegers:
-    # 5001 digits, past the 4300 that Python's str() prints by default; the
-    # zeros in the middle make the printed halves need their padding.
+    # Python's str() refuses an integer of more than 4300 digits by default,
+    # and the renderings then print it through decimal.Decimal. 5001 digits,
+    # mostly zeros, so a dropped or doubled digit shows.
     def test_fraction_text(self):
         assert to_fraction_text(rat(-(10**5000 + 7), 3)) == "-1" + "0" * 4999 + "7/3"
 
     def test_decimal(self):
         assert to_decimal(rat(-(10**5000 + 7), 3), 2) == "-" + "3" * 4999 + "5.66"
+
+    def test_long_denominator(self):
+        assert to_fraction_text(rat(1, 10**5000 + 3)) == "1/1" + "0" * 4999 + "3"
+
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    def test_at_the_str_limit(self, digits):
+        q = rat(-(10 ** (digits - 1) + 7), 3)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{q.numerator}/{q.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) == len("-") + digits + len("/3")
+        assert to_fraction_text(q) == expected
 
 
 class TestToDecimal:
