@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import cyclic_geometry as geom
 from . import scale_calculus as scale
 from . import sulva_rules as rules
-from .exact_numbers import parse_rational, rat, sqrt_exact, to_decimal, to_fraction_text
+from .exact_numbers import rat, sqrt_exact, to_decimal, to_fraction_text
 
 Row = tuple[str, object]
 
@@ -84,13 +84,16 @@ def _cmd_sqrt2(args: argparse.Namespace) -> Report:
     return report
 
 
+# The quadrature rules that `pi` evaluates, by command-line name.
+_PI_RULES = {
+    "i58": rules.quadrature_ratio_i58,
+    "i59": rules.quadrature_ratio_i59,
+    "i60": rules.quadrature_ratio_i60,
+}
+
+
 def _cmd_pi(args: argparse.Namespace) -> Report:
-    if args.rule == "i58":
-        ratio = rules.quadrature_ratio_i58()
-    elif args.rule == "i59":
-        ratio = rules.quadrature_ratio_i59()
-    else:
-        ratio = rules.quadrature_ratio_i60()
+    ratio = _PI_RULES[args.rule]()
     value = rules.implied_pi(ratio)
     rows: list[Row] = [("side over diameter", ratio), ("implied circle constant", value)]
     rows.append(("decimal", to_decimal(value, args.precision)))
@@ -204,14 +207,16 @@ def _cmd_xii24(args: argparse.Namespace) -> Report:
     return out
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for digit counts, seeds and quad counts."""
+def _positive_int(text: str, limit: int | None = None) -> int:
+    """argparse type for digit counts, seeds and quad counts, capped at limit if given."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if limit is not None and value > limit:
+        raise argparse.ArgumentTypeError(f"expected an integer <= {limit}, got {text!r}")
     return value
 
 
@@ -219,18 +224,11 @@ def _positive_int(text: str) -> int:
 MAX_PRECISION = 1000
 
 
-def _precision(text: str) -> int:
-    """argparse type for --precision: an integer from 1 to MAX_PRECISION."""
-    value = _positive_int(text)
-    if value > MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"expected an integer <= {MAX_PRECISION}, got {text!r}")
-    return value
-
-
 def _rational(text: str) -> Fraction:
     """argparse type for a num/den or integer literal."""
+    num, slash, den = text.partition("/")
     try:
-        return parse_rational(text)
+        return rat(int(num), int(den) if slash else 1)
     except ValueError as exc:
         if str(exc).startswith("Exceeds the limit"):  # int()'s refusal of a too-long digit string
             message = f"an integer in this literal has more than {sys.get_int_max_str_digits()} digits"
@@ -256,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "markdown", "json"), default="text")
-    common.add_argument("--precision", type=_precision, default=12, help="decimal digits in annotations")
+    precision = functools.partial(_positive_int, limit=MAX_PRECISION)
+    common.add_argument("--precision", type=precision, default=12, help="decimal digits in annotations")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sqrt2)
 
     p = sub.add_parser("pi", parents=[common], help="circle constant implied by a quadrature rule")
-    p.add_argument("rule", choices=("i58", "i59", "i60"))
+    p.add_argument("rule", choices=_PI_RULES)
     p.set_defaults(func=_cmd_pi)
 
     p = sub.add_parser("area", parents=[common], help="exact cyclic quadrilateral area from four sides")
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quad", parents=[common], help="orthodiagonal quad demo with theorem checks")
     p.add_argument("mode", choices=("demo",))
     p.add_argument("--seed", type=_positive_int, default=1)
-    p.add_argument("--count", type=_positive_int, default=10)
+    p.add_argument("--count", type=functools.partial(_positive_int, limit=geom.DEMO_QUAD_LIMIT), default=10)
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("xii24", parents=[common], help="half-oblong derivation check on the unit circle")
@@ -308,7 +307,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except geom.NotRealizable as exc:
         print(f"not realizable: {exc}", file=sys.stderr)
         return 1
-    except (geom.DegenerateBase, geom.CountTooLarge) as exc:  # bad input, not a failed verdict
+    except geom.DegenerateBase as exc:  # bad input that no single argument shows
         print(f"sulvageom {args.command}: error: {exc}", file=sys.stderr)
         return 2
     print(render_report(report, args.format, args.precision))

@@ -26,10 +26,6 @@ class NotRealizable(ValueError):
     """Side lengths that no cyclic quadrilateral attains."""
 
 
-class CountTooLarge(ValueError):
-    """More quads asked of the demo generator than it has distinct ones."""
-
-
 @dataclass(frozen=True)
 class RationalPoint:
     x: Fraction
@@ -122,10 +118,10 @@ def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> 
         raise NotRealizable("at most one side may vanish")
     s = (a + b + c + d) / 2
     product = rat(1)
-    for side in sides:
+    for name, side in zip("abcd", sides):
         factor = s - side
         if factor <= 0:
-            raise NotRealizable(f"half-sum minus side {side} is not positive")
+            raise NotRealizable(f"half-sum minus side {name} is not positive")
         product = product * factor
     return product
 
@@ -338,13 +334,13 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
     vertex pair is a point and its mirror image across that diameter, so
     perpendicularity holds by construction and every coordinate stays
     rational. Seed 1 starts at the reference kite on the unit circle.
-    Counts above DEMO_QUAD_LIMIT raise CountTooLarge, since the walk would
+    Counts above DEMO_QUAD_LIMIT raise ValueError, since the walk would
     repeat quads.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > DEMO_QUAD_LIMIT:
-        raise CountTooLarge(f"count {count} exceeds the {DEMO_QUAD_LIMIT} distinct quads the demo yields")
+        raise ValueError(f"count {count} exceeds the {DEMO_QUAD_LIMIT} distinct quads the demo yields")
     if seed < 1:
         raise ValueError("seed must be >= 1")
     n = len(PYTHAGOREAN_PARAMS)
@@ -373,13 +369,13 @@ def rational_side_quads(count: int) -> list[CyclicQuad]:
     """Cyclic quads on the unit circle whose four chords are all exactly
     rational, built from ascending 4-subsets of the Pythagorean parameter
     table (extended with the negated values, which keeps 1 + t^2 square).
-    Counts above the number of such subsets raise CountTooLarge."""
+    Counts above the number of such subsets raise ValueError."""
     if count < 1:
         raise ValueError("count must be >= 1")
     pool = sorted(set(PYTHAGOREAN_PARAMS) | {-t for t in PYTHAGOREAN_PARAMS})
     limit = math.comb(len(pool), 4)
     if count > limit:
-        raise CountTooLarge(f"count {count} exceeds the {limit} quads the parameter pool yields")
+        raise ValueError(f"count {count} exceeds the {limit} quads the parameter pool yields")
     return [triquadrilateral(*combo, 1) for combo in itertools.islice(itertools.combinations(pool, 4), count)]
 
 

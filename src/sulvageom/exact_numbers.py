@@ -1,6 +1,5 @@
-"""Exact rational arithmetic on fractions.Fraction: checked construction and
-parsing, exact square roots, and the fixed num/den and truncated decimal
-renderings.
+"""Exact rational arithmetic on fractions.Fraction: checked construction,
+exact square roots, and the fixed num/den and truncated decimal renderings.
 
 Everything here is integer arithmetic; no floats enter or leave.
 """
@@ -60,12 +59,3 @@ def to_decimal(q: Fraction, digits: int) -> str:
     sign = "-" if num < 0 else ""
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'num/den' or a plain integer literal."""
-    parts = text.strip().split("/")
-    if len(parts) == 1:
-        return rat(int(parts[0]))
-    if len(parts) == 2:
-        return rat(int(parts[0]), int(parts[1]))
-    raise ValueError(f"not a rational literal: {text!r}")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import sulvageom
 from sulvageom import cyclic_geometry as geom
-from sulvageom.cli import MAX_PRECISION, Report, build_parser, cli_main, render_report
+from sulvageom.cli import MAX_PRECISION, Report, _rational, build_parser, cli_main, render_report
 from sulvageom.exact_numbers import rat, to_decimal
 
 
@@ -208,6 +209,16 @@ class TestExitCodes:
         assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err
 
+    def test_count_bound_is_the_demo_limit(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["quad", "demo", "--count", "1861"])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["sulvageom quad: error: argument --count: expected an integer <= 1860, got '1861'"]
+        code, out = run_cli(capsys, "quad", "demo", "--count", "1860")
+        assert code == 0
+        assert out.count("bisection theorem: true") == 1860
+
     def test_precision_bound_is_1000(self, capsys):
         code, out = run_cli(capsys, "sqrt2", "--precision", "1000")
         assert code == 0
@@ -300,6 +311,37 @@ def test_cli_boundary_exits_0_1_or_2(argv):
         assert ": false" in out or err.startswith("not realizable: ")
 
 
+def oracle_parse_rational(text):
+    """The literal parser that cli._rational replaced, kept as its oracle."""
+    parts = text.strip().split("/")
+    if len(parts) == 1:
+        return rat(int(parts[0]))
+    if len(parts) == 2:
+        return rat(int(parts[0]), int(parts[1]))
+    raise ValueError(f"not a rational literal: {text!r}")
+
+
+def test_rational_literal():
+    assert _rational("1224/1393") == rat(1224, 1393)
+    assert _rational("-5") == rat(-5)
+    with pytest.raises(argparse.ArgumentTypeError):
+        _rational("1/2/3")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_literals | st.text() | st.text(alphabet="10-+/x_\u0663 \t", max_size=6))
+def test_rational_accepts_what_the_old_parser_did(text):
+    try:
+        expected = oracle_parse_rational(text)
+    except ValueError:
+        with pytest.raises(argparse.ArgumentTypeError):
+            _rational(text)
+    else:
+        value = _rational(text)
+        assert type(value) is Fraction
+        assert value == expected
+
+
 class TestLargeValues:
     # 2200-digit sides: the radicand has about 8800 digits, more than the
     # 4300 that Python's str() prints by default.
@@ -339,6 +381,13 @@ class TestLargeValues:
         )
         assert "7" * 10 not in captured.err
 
+    def test_refused_long_side_is_named_by_letter(self, capsys):
+        code = cli_main(["area", "7" * 4300, "1", "1", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "not realizable: half-sum minus side a is not positive\n"
+
     def test_side_at_the_str_limit_exits_0(self, capsys):
         side = "7" * 4300
         code, out = run_cli(capsys, "area", side, side, side, side)
@@ -373,7 +422,9 @@ class TestCachedParser:
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["xii24", "-x", "7"])
         assert excinfo.value.code == 2
-        assert cli_main(["quad", "demo", "--count", "1861"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["quad", "demo", "--count", "1861"])
+        assert excinfo.value.code == 2
         capsys.readouterr()
         assert run_cli(capsys, *argv) == first == (0, golden.read_text())
 

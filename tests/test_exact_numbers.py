@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from sulvageom.cyclic_geometry import point_from_param
 from sulvageom.exact_numbers import (
-    parse_rational,
     rat,
     sqrt_exact,
     to_decimal,
@@ -145,13 +144,6 @@ class TestToDecimal:
     def test_digit_count_validated(self):
         with pytest.raises(ValueError):
             to_decimal(rat(1, 2), 0)
-
-
-def test_parse_rational():
-    assert parse_rational("1224/1393") == rat(1224, 1393)
-    assert parse_rational("-5") == rat(-5)
-    with pytest.raises(ValueError):
-        parse_rational("1/2/3")
 
 
 @given(a=rationals, b=rationals)
