@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cyclic_geometry as geom
@@ -23,12 +23,11 @@ from .exact_numbers import rat, sqrt_exact, to_decimal, to_fraction_text
 Row = tuple[str, object]
 
 
-@dataclass
 class Report:
-    title: str
-    sections: list[tuple[str, list[Row]]] = field(default_factory=list)
-    # A command's own JSON document, rendered in place of title and sections.
-    data: object = None
+    """A titled list of sections of rows; data, if given, replaces both in the JSON format."""
+
+    def __init__(self, title: str, data: object = None) -> None:
+        self.title, self.sections, self.data = title, [], data
 
     def add(self, heading: str, rows: list[Row]) -> None:
         self.sections.append((heading, rows))
@@ -105,7 +104,7 @@ def _cmd_pi(args: argparse.Namespace) -> Report:
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
     reports = rules.verify_decompositions()
-    out = Report("Exact identity checks", data=[vars(r) for r in reports])
+    out = Report("Exact identity checks", data=[r._asdict() for r in reports])
     for r in reports:
         out.add(r.name, [("left", r.left), ("right", r.right), ("residual", r.residual), ("verdict", r.verdict)])
     return out
@@ -168,7 +167,7 @@ def _cmd_quad(args: argparse.Namespace) -> Report:
         items.append(
             {
                 "r": quad.r,
-                "vertices": [(v.x, v.y) for v in quad.vertices],
+                "vertices": quad.vertices,
                 "segments_equal_portions": ortho,
                 "bisection_theorem": bisect,
             }
@@ -310,7 +309,14 @@ def cli_main(argv: list[str] | None = None) -> int:
     except geom.DegenerateBase as exc:  # bad input that no single argument shows
         print(f"sulvageom {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    print(render_report(report, args.format, args.precision))
+    text = render_report(report, args.format, args.precision)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # Point stdout at devnull, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"sulvageom {args.command}: error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     # A verdict is a boolean row; exit 1 when any of them fails.
     return 1 if any(value is False for _, rows in report.sections for _, value in rows) else 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact_numbers import rat, sqrt_exact
@@ -26,10 +26,7 @@ class NotRealizable(ValueError):
     """Side lengths that no cyclic quadrilateral attains."""
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    x: Fraction
-    y: Fraction
+RationalPoint = namedtuple("RationalPoint", "x y")
 
 
 def _as_rat(v: Fraction | int) -> Fraction:
@@ -46,8 +43,7 @@ def _dist_sq(p: tuple[int, int], q: tuple[int, int]) -> int:
     return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
 
-@dataclass(frozen=True)
-class CyclicQuad:
+class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
     """Four pairwise distinct points on the circle x^2 + y^2 = r^2, r > 0, in
     one strictly counterclockwise sweep. Only this constructor checks that;
     the predicates below rely on the convex quad it makes, whose area is
@@ -56,23 +52,19 @@ class CyclicQuad:
     ``homogeneous`` is the same quad over one integer denominator:
     ``(w, points)``, with w the least common denominator of r and the eight
     coordinates, and points the four integer pairs (x w, y w). It is
-    computed once, at construction; the validation and the predicates below
-    decide on these integers by cross-multiplication.
+    computed once, at construction, outside eq, hash and repr; the validation
+    and the predicates below decide on these integers by cross-multiplication.
     """
 
-    r: Fraction
-    vertices: tuple[RationalPoint, RationalPoint, RationalPoint, RationalPoint]
-    homogeneous: tuple[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        w, (big_r, *coords) = _integer_form((self.r, *(c for v in self.vertices for c in (v.x, v.y))))
+    def __new__(cls, r: Fraction | int, vertices: tuple[RationalPoint, ...]) -> CyclicQuad:
+        w, (big_r, *coords) = _integer_form((r, *(c for v in vertices for c in (v.x, v.y))))
         points = tuple(zip(coords[::2], coords[1::2]))
         if big_r <= 0:
-            raise ValueError(f"radius {self.r} must be positive")
+            raise ValueError(f"radius {r} must be positive")
         rsq = big_r * big_r
-        for v, (x, y) in zip(self.vertices, points):
+        for v, (x, y) in zip(vertices, points):
             if x * x + y * y != rsq:
-                raise ValueError(f"vertex ({v.x}, {v.y}) is off the circle of radius {self.r}")
+                raise ValueError(f"vertex ({v.x}, {v.y}) is off the circle of radius {r}")
         if len(set(points)) != 4:
             raise ValueError("vertices must be pairwise distinct")
         for i in range(4):
@@ -80,7 +72,12 @@ class CyclicQuad:
             turn = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
             if turn < 0:
                 raise ValueError("vertices are not in counterclockwise circular order")
-        object.__setattr__(self, "homogeneous", (w, points))
+        quad = super().__new__(cls, r, vertices)
+        quad.homogeneous = (w, points)
+        return quad
+
+    # namedtuple's _make, which _replace calls, would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
@@ -212,26 +209,24 @@ def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HalfOblongReport:
+class HalfOblongReport(
+    namedtuple(
+        "HalfOblongReport",
+        "lam a_sq b_sq gamma_sq alpha_sq beta_sq h_sq"
+        " segment_from_side segment_from_upright height_is_mean base_from_sum",
+    )
+):
     """Exact verification that a triangle on a diameter is a half-oblong.
 
     All quantities are squared, so no root extraction is needed:
     the base splits as alpha + beta at the perpendicular foot, and the
     four sub-identities recover the diagonal rule from the other two.
+    They are segment_from_side, alpha^2 = a^2 - h^2; segment_from_upright,
+    beta^2 = b^2 - h^2; height_is_mean, h^4 = alpha^2 * beta^2; and
+    base_from_sum, gamma^2 = a^2 + b^2.
     """
 
-    lam: Fraction
-    a_sq: Fraction
-    b_sq: Fraction
-    gamma_sq: Fraction
-    alpha_sq: Fraction
-    beta_sq: Fraction
-    h_sq: Fraction
-    segment_from_side: bool       # alpha^2 = a^2 - h^2
-    segment_from_upright: bool    # beta^2 = b^2 - h^2
-    height_is_mean: bool          # h^4 = alpha^2 * beta^2
-    base_from_sum: bool           # gamma^2 = a^2 + b^2
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

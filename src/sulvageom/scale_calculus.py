@@ -9,19 +9,20 @@ ratio, and that distinction is the whole point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    p: int
-    q: int
-    labels: tuple[str, str] = ("first", "second")
+class Correspondence(namedtuple("Correspondence", "p q labels")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"({self.p}, {self.q}): parts must be >= 1")
+    def __new__(cls, p: int, q: int, labels: tuple[str, str] = ("first", "second")) -> Correspondence:
+        if p < 1 or q < 1:
+            raise ValueError(f"({p}, {q}): parts must be >= 1")
+        return super().__new__(cls, p, q, labels)
+
+    # namedtuple's _make, which _replace calls, would skip the check in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def refine(c: Correspondence, k: int) -> Correspondence:
@@ -43,11 +44,7 @@ def removal_form(c: Correspondence) -> tuple[int, int]:
     return (c.p, c.p - c.q)
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    description: str
-    after: Correspondence
-    anchor: str
+DerivationStep = namedtuple("DerivationStep", "description after anchor")
 
 
 def derive_i59_trace() -> tuple[DerivationStep, ...]:

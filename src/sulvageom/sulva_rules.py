@@ -8,7 +8,7 @@ for error reporting, keeping the computational core float-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact_numbers import rat
@@ -27,15 +27,10 @@ VERDICT_EQUAL = "exact-equal"
 VERDICT_RESIDUAL = "differs-by-residual"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", "name left right residual verdict")):
     """Bit-exact comparison of two rationals; residual = left - right."""
 
-    name: str
-    left: Fraction
-    right: Fraction
-    residual: Fraction
-    verdict: str
+    __slots__ = ()
 
     @classmethod
     def compare(cls, name: str, left: Fraction, right: Fraction) -> "IdentityReport":

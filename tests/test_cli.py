@@ -1,7 +1,6 @@
 import argparse
 import ast
 import contextlib
-import dataclasses
 import importlib
 import inspect
 import io
@@ -230,7 +229,7 @@ class TestExitCodes:
             ("brahmagupta_theorem_check", lambda real: lambda quad: False, ["quad", "demo", "--count", "2"], 2),
             (
                 "xii24_verify",
-                lambda real: lambda *a: dataclasses.replace(real(*a), height_is_mean=False),
+                lambda real: lambda *a: real(*a)._replace(height_is_mean=False),
                 ["xii24", "3/4", "7"],
                 1,
             ),
@@ -432,11 +431,12 @@ class TestCachedParser:
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*argv):
-    """A fresh interpreter that imports the package from this checkout."""
-    env = dict(os.environ)
+def run_python(*argv, stdout=subprocess.PIPE, **variables):
+    """A fresh interpreter that imports the package from this checkout. Each
+    keyword sets an environment variable, or unsets it when None."""
+    env = {name: value for name, value in {**os.environ, **variables}.items() if value is not None}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
 
 
 def test_python_dash_m_entry_point():
@@ -447,11 +447,12 @@ def test_python_dash_m_entry_point():
 
 def test_import_builds_neither_cache():
     # The parser and the demo's point grid are built on first use, so an
-    # import costs neither.
+    # import costs neither; nor does it load dataclasses or inspect.
     proc = run_python(
         "-c",
-        "from sulvageom import cli, cyclic_geometry as g; "
-        "print(cli.build_parser.cache_info().currsize, g._demo_point.cache_info().currsize)",
+        "import sys; from sulvageom import cli, cyclic_geometry as g; "
+        "print(cli.build_parser.cache_info().currsize, g._demo_point.cache_info().currsize, "
+        "*sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [b"0", b"0"]

@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -323,7 +324,22 @@ class TestCyclicQuadValidation:
 
     def test_replace_validates_again(self):
         with pytest.raises(ValueError, match="is off the circle of radius 2"):
-            dataclasses.replace(KITE, r=rat(2))
+            KITE._replace(r=rat(2))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda quad: pickle.loads(pickle.dumps(quad))])
+    def test_copy_and_pickle_keep_the_integer_form(self, clone):
+        twin = clone(KITE)
+        assert twin == KITE and twin.homogeneous == KITE.homogeneous
+
+    def test_copy_and_pickle_validate_again(self):
+        # Both rebuild a quad from this reduction, which calls the constructor.
+        rebuild, (cls, _, vertices), *_ = KITE.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(ValueError, match="is off the circle of radius 2"):
+            rebuild(cls, rat(2), vertices)
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            KITE.r = rat(2)
 
 
 class TestAreas:

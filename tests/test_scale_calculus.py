@@ -34,6 +34,8 @@ class TestConstruction:
     def test_nonpositive_parts(self):
         with pytest.raises(ValueError, match=r"\(0, 3\): parts must be >= 1"):
             Correspondence(0, 3)
+        with pytest.raises(ValueError, match=r"\(0, 2\): parts must be >= 1"):
+            Correspondence(3, 2)._replace(p=0)
 
 
 class TestOperations:
