@@ -225,7 +225,8 @@ MAX_PRECISION = 1000
 
 def _rational(text: str) -> Fraction:
     """argparse type for a num/den or integer literal."""
-    num, slash, den = text.partition("/")
+    # Strip first: str.strip() drops the separators U+001C..U+001F, int() does not.
+    num, slash, den = text.strip().partition("/")
     try:
         return rat(int(num), int(den) if slash else 1)
     except ValueError as exc:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sulvageom
 from sulvageom import cyclic_geometry as geom
@@ -329,6 +329,9 @@ def test_rational_literal():
 
 @settings(max_examples=300, deadline=None)
 @given(text=_literals | st.text() | st.text(alphabet="10-+/x_\u0663 \t", max_size=6))
+@example(text="0\x1f")
+@example(text="\x1c1/2\x1d")
+@example(text="1\x1f/2")
 def test_rational_accepts_what_the_old_parser_did(text):
     try:
         expected = oracle_parse_rational(text)
