@@ -312,10 +312,13 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2
     text = render_report(report, args.format, args.precision)
     try:
+        if sys.stdout is None:  # started with stdout closed, where print writes nowhere
+            raise OSError("stdout is closed")
         print(text, flush=True)
     except OSError as exc:
-        # Point stdout at devnull, so that the flush at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            # Point stdout at devnull, so that the flush at exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"sulvageom {args.command}: error: cannot write output: {exc}", file=sys.stderr)
         return 2
     # A verdict is a boolean row; exit 1 when any of them fails.

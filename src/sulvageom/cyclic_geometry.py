@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact_numbers import rat, sqrt_exact
+from .exact_numbers import rat
 
 
 class DegenerateBase(ValueError):
@@ -73,24 +73,33 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
             if turn < 0:
                 raise ValueError("vertices are not in counterclockwise circular order")
         quad = super().__new__(cls, r, vertices)
-        quad.homogeneous = (w, points)
+        quad.__dict__["homogeneous"] = (w, points)
         return quad
 
     # namedtuple's _make, which _replace calls, would skip the checks in __new__.
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot set or delete {name!r}: a CyclicQuad is immutable")
+
+    __delattr__ = __setattr__
+
+
+def _param_form(t: Fraction | int, r: Fraction | int) -> tuple[int, int, int]:
+    """The point_from_param point (X/D, Y/D) as the integers (X, Y, D), D > 0, not reduced."""
+    t, r = _as_rat(t), _as_rat(r)
+    if r <= 0:
+        raise ValueError(f"radius {r} must be positive")
+    n, d = t.numerator, t.denominator
+    return r.numerator * (d * d - n * n), 2 * r.numerator * n * d, r.denominator * (d * d + n * n)
 
 
 def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
     """Rational point on the circle of radius r via the tan-half-angle map:
     (r(1 - t^2)/(1 + t^2), 2rt/(1 + t^2)). The point (-r, 0) is unreachable
     and must be built directly."""
-    t = _as_rat(t)
-    r = _as_rat(r)
-    if r <= 0:
-        raise ValueError(f"radius {r} must be positive")
-    n, d = t.numerator, t.denominator
-    denom = r.denominator * (d * d + n * n)
-    return RationalPoint(Fraction(r.numerator * (d * d - n * n), denom), Fraction(2 * r.numerator * n * d, denom))
+    x, y, denom = _param_form(t, r)
+    return RationalPoint(Fraction(x, denom), Fraction(y, denom))
 
 
 def shoelace_area(quad: CyclicQuad) -> Fraction:
@@ -108,19 +117,20 @@ def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> 
     case); there is no textual warrant for it in the source, and callers
     should flag it as such.
     """
-    sides = (a, b, c, d)
-    if any(side < 0 for side in sides):
+    # With the sides X/D over their lcm D > 0 and S = sum X, s - side = (S - 2X)/(2D).
+    big_d, xs = _integer_form((a, b, c, d))
+    if any(x < 0 for x in xs):
         raise NotRealizable("sides must be nonnegative")
-    if sum(1 for side in sides if side == 0) > 1:
+    if xs.count(0) > 1:
         raise NotRealizable("at most one side may vanish")
-    s = (a + b + c + d) / 2
-    product = rat(1)
-    for name, side in zip("abcd", sides):
-        factor = s - side
+    total = sum(xs)
+    product = 1
+    for name, x in zip("abcd", xs):
+        factor = total - 2 * x
         if factor <= 0:
             raise NotRealizable(f"half-sum minus side {name} is not positive")
-        product = product * factor
-    return product
+        product *= factor
+    return Fraction(product, 16 * big_d**4)
 
 
 def crude_area(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
@@ -142,13 +152,8 @@ def heart_cord(a: Fraction, b: Fraction, h: Fraction) -> Fraction:
     return a * b / (h * 2)
 
 
-def triquadrilateral(
-    t1: Fraction | int,
-    t2: Fraction | int,
-    t3: Fraction | int,
-    t4: Fraction | int,
-    r: Fraction | int,
-) -> CyclicQuad:
+def triquadrilateral(t1: Fraction | int, t2: Fraction | int, t3: Fraction | int, t4: Fraction | int,
+                     r: Fraction | int) -> CyclicQuad:
     """Complete the triangle at parameters t1, t2, t3 with a fourth vertex
     t4 on the same circle. The parameters must already trace one convex
     counterclockwise sweep."""
@@ -230,28 +235,22 @@ class HalfOblongReport(
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.segment_from_side
-            and self.segment_from_upright
-            and self.height_is_mean
-            and self.base_from_sum
-        )
+        return self.segment_from_side and self.segment_from_upright and self.height_is_mean and self.base_from_sum
 
 
 def xii24_verify(t: Fraction | int, u: Fraction | int, r: Fraction | int) -> HalfOblongReport:
     """Check the half-oblong derivation on the triangle with base the
     diameter through the parameter-t point and apex at parameter u.
 
-    Over one integer denominator w the base ends are a = P/w and c = -a and
-    the apex is b = Q/w. With pp = P.P and qp = Q.P the foot of b sits at
-    lambda = (pp - qp)/(2 pp), the segments are alpha^2 = (pp - qp)^2/(pp w^2)
-    and beta^2 = (pp + qp)^2/(pp w^2), and the height is b minus the foot,
-    (Q pp - qp P)/(w pp). The identities are decided on the numerators over
-    the common denominator (w pp)^2.
+    Over w = D_t D_u, with D the points' denominators (no lcm: every ratio below is
+    homogeneous of degree 0), the base ends are a = P/w and c = -a and the apex is
+    b = Q/w. With pp = P.P and qp = Q.P the foot of b sits at lambda = (pp - qp)/(2 pp),
+    the segments are alpha^2 = (pp - qp)^2/(pp w^2) and beta^2 = (pp + qp)^2/(pp w^2),
+    and the height is b minus the foot, (Q pp - qp P)/(w pp). The identities are
+    decided on the numerators over the common denominator (w pp)^2.
     """
-    a_pt = point_from_param(t, r)
-    b_pt = point_from_param(u, r)
-    w, (px, py, qx, qy) = _integer_form((a_pt.x, a_pt.y, b_pt.x, b_pt.y))
+    (xt, yt, dt), (xu, yu, du) = _param_form(t, r), _param_form(u, r)
+    px, py, qx, qy, wsq = xt * du, yt * du, xu * dt, yu * dt, (dt * du) ** 2
     if (qx, qy) in ((px, py), (-px, -py)):
         raise DegenerateBase("apex coincides with a base endpoint")
     pp, qp = px * px + py * py, qx * px + qy * py
@@ -260,7 +259,6 @@ def xii24_verify(t: Fraction | int, u: Fraction | int, r: Fraction | int) -> Hal
     b_num = (qx + px) ** 2 + (qy + py) ** 2
     alpha_num, beta_num = (pp - qp) ** 2, (pp + qp) ** 2
     h_num = hx * hx + hy * hy
-    wsq = w * w
     return HalfOblongReport(
         lam=Fraction(pp - qp, 2 * pp),
         a_sq=Fraction(a_num, wsq),
@@ -309,9 +307,8 @@ DEMO_QUAD_LIMIT = math.lcm(len(PYTHAGOREAN_PARAMS) * (len(PYTHAGOREAN_PARAMS) - 
 def _demo_point(ti: int, ri: int) -> tuple[RationalPoint, tuple[int, int, int]]:
     """Table entry ti on demo radius ri, and its integer form (X, Y, D) with
     D > 0. Filled on first use; it never holds more than the 31 x 4 grid."""
-    p = point_from_param(PYTHAGOREAN_PARAMS[ti], _DEMO_RADII[ri])
-    big_d, (x, y) = _integer_form((p.x, p.y))
-    return p, (x, y, big_d)
+    x, y, big_d = form = _param_form(PYTHAGOREAN_PARAMS[ti], _DEMO_RADII[ri])
+    return RationalPoint(Fraction(x, big_d), Fraction(y, big_d)), form
 
 
 def _reflect_across_diameter(b: tuple[int, int, int], a: tuple[int, int, int]) -> RationalPoint:
@@ -379,8 +376,10 @@ def rational_sides(quad: CyclicQuad) -> tuple[Fraction, Fraction, Fraction, Frac
     w, vs = quad.homogeneous
     sides = []
     for i in range(4):
-        root = sqrt_exact(Fraction(_dist_sq(vs[i], vs[(i + 1) % 4]), w * w))
-        if root is None:
+        # A chord is sqrt(dist) / w, rational exactly when the integer dist is a square.
+        dist = _dist_sq(vs[i], vs[(i + 1) % 4])
+        root = math.isqrt(dist)
+        if root * root != dist:
             raise NotRealizable("a chord of this quad is irrational")
-        sides.append(root)
+        sides.append(Fraction(root, w))
     return tuple(sides)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sulvageom.cyclic_geometry import (
     DEMO_QUAD_LIMIT,
@@ -128,8 +128,30 @@ def oracle_diagonals(quad):
 
 
 def oracle_sides(quad):
+    """rational_sides as it was on Fractions: the exact root of each squared chord."""
     vs = quad.vertices
-    return tuple(sqrt_exact(oracle_chord_sq(vs[(i + 1) % 4], vs[i])) for i in range(4))
+    sides = tuple(sqrt_exact(oracle_chord_sq(vs[(i + 1) % 4], vs[i])) for i in range(4))
+    if None in sides:
+        raise NotRealizable("a chord of this quad is irrational")
+    return sides
+
+
+def oracle_radicand(a, b, c, d):
+    """brahmagupta_radicand as it was on Fractions: the half-sum s, then the
+    product of the four s - side."""
+    sides = (a, b, c, d)
+    if any(side < 0 for side in sides):
+        raise NotRealizable("sides must be nonnegative")
+    if sum(1 for side in sides if side == 0) > 1:
+        raise NotRealizable("at most one side may vanish")
+    s = (a + b + c + d) / 2
+    product = rat(1)
+    for name, side in zip("abcd", sides):
+        factor = s - side
+        if factor <= 0:
+            raise NotRealizable(f"half-sum minus side {name} is not positive")
+        product = product * factor
+    return product
 
 
 def oracle_xii24(t, u, r):
@@ -207,18 +229,23 @@ def assert_kernel_matches_oracle(quad):
             brahmagupta_theorem_check(quad)
     assert shoelace_area(quad) == oracle_shoelace(quad)
     assert diagonal_lengths_sq(quad) == oracle_diagonals(quad)
-    assert rational_sides(quad) == oracle_sides(quad)
+    assert_same_outcome(rational_sides, oracle_sides, quad)
+
+
+def assert_same_outcome(call, oracle, *args):
+    """Equal values, or a refusal of the same type with the same message."""
+    try:
+        expected = oracle(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            call(*args)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    else:
+        assert call(*args) == expected
 
 
 def assert_xii24_matches_oracle(t, u, r):
-    try:
-        expected = oracle_xii24(t, u, r)
-    except DegenerateBase as exc:
-        with pytest.raises(DegenerateBase) as raised:
-            xii24_verify(t, u, r)
-        assert str(raised.value) == str(exc)
-    else:
-        assert xii24_verify(t, u, r) == expected
+    assert_same_outcome(xii24_verify, oracle_xii24, t, u, r)
 
 
 @st.composite
@@ -253,6 +280,36 @@ def xii24_inputs(draw):
         u = -1 / t
     r = Fraction(draw(st.integers(1, 2**bits)), draw(st.integers(1, 2**bits)))
     return t, u, r
+
+
+@st.composite
+def mixed_param_inputs(draw):
+    """Four ascending parameters and a radius: Euclid parameters of 12 to 42
+    bits and from none to four plain rationals, so that some quads have only
+    rational chords and others an irrational one."""
+    bits = draw(st.integers(12, 42))
+    plain = draw(st.integers(0, 4))
+    ts = draw(st.lists(euclid_param(bits), min_size=4 - plain, max_size=4 - plain, unique=True))
+    ts += draw(st.lists(st.fractions(min_value=-30, max_value=30), min_size=plain, max_size=plain, unique=True))
+    assume(len(set(ts)) == 4)
+    r = Fraction(draw(st.integers(1, 2**bits)), draw(st.integers(1, 2**bits)))
+    return sorted(ts), r
+
+
+# Sides of either sign, zero among them, as the CLI's area command parses them.
+radicand_side = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+
+
+@st.composite
+def huge_radicand_sides(draw):
+    """Sides k N + p/q with N past 4300 digits, k in 1..2 but on one side in
+    1..8, so that the half-sum factors are huge and now and then one of them
+    is not positive."""
+    big = draw(st.integers(10**4300, 10**4400))
+    ks = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    ks.insert(draw(st.integers(0, 3)), draw(st.integers(1, 8)))
+    small = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**40)
+    return [k * big + draw(small) for k in ks]
 
 
 def generic_quads(count, rng_seed=0):
@@ -341,6 +398,14 @@ class TestCyclicQuadValidation:
         with pytest.raises(AttributeError):
             KITE.r = rat(2)
 
+    def test_integer_form_is_read_only(self):
+        # The predicates trust homogeneous, so it can be neither assigned nor deleted.
+        with pytest.raises(AttributeError, match="'homogeneous'"):
+            KITE.homogeneous = None
+        with pytest.raises(AttributeError, match="'homogeneous'"):
+            del KITE.homogeneous
+        assert KITE.homogeneous == (25, ((25, 0), (7, 24), (-25, 0), (7, -24)))
+
 
 class TestAreas:
     def test_square(self):
@@ -398,6 +463,16 @@ class TestBrahmaguptaRadicand:
         reference = brahmagupta_radicand(*sides)
         for perm in itertools.permutations(sides):
             assert brahmagupta_radicand(*perm) == reference
+
+    @settings(max_examples=300)
+    @given(st.lists(radicand_side, min_size=4, max_size=4))
+    def test_matches_the_fraction_oracle(self, sides):
+        assert_same_outcome(brahmagupta_radicand, oracle_radicand, *sides)
+
+    @settings(deadline=None, max_examples=30)
+    @given(huge_radicand_sides())
+    def test_huge_sides_match_the_fraction_oracle(self, sides):
+        assert_same_outcome(brahmagupta_radicand, oracle_radicand, *sides)
 
 
 class TestCrudeArea:
@@ -721,3 +796,12 @@ class TestKernelMatchesOracle:
     @given(xii24_inputs())
     def test_xii24_large_bit(self, inputs):
         assert_xii24_matches_oracle(*inputs)
+
+    @settings(deadline=None)
+    @given(mixed_param_inputs())
+    def test_sides_and_xii24_on_mixed_params(self, inputs):
+        ts, r = inputs
+        quad = CyclicQuad(r, tuple(point_from_param(t, r) for t in ts))
+        assert_same_outcome(rational_sides, oracle_sides, quad)
+        for t, u in itertools.combinations(ts, 2):
+            assert_xii24_matches_oracle(t, u, r)

@@ -86,3 +86,14 @@ def test_unwritable_stdout_exits_2(sink, code, argv, unbuffered):
     assert proc.returncode == 2
     [line] = proc.stderr.decode().splitlines()
     assert line.startswith(f"sulvageom {argv[0]}: error: cannot write output: [Errno {code}] ")
+
+
+def test_closed_stdout_exits_2():
+    # A shell's `sqrt2 >&-` starts the process with fd 1 closed: sys.stdout is
+    # then None, and print would write nowhere. The launcher closes fd 1 and
+    # execs the real process in its place.
+    launcher = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+    proc = run_python("-c", launcher, *FLAGS, "sqrt2")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == ["sulvageom sqrt2: error: cannot write output: stdout is closed"]
