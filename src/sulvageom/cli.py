@@ -161,28 +161,33 @@ def _cmd_crude(args: argparse.Namespace) -> Report:
 def _cmd_quad(args: argparse.Namespace) -> Report:
     items = []
     out = Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", data=items)
+    as_json = args.format == "json"
     for i, quad in enumerate(geom.orthodiagonal_generator(args.seed, args.count), start=1):
         ortho = geom.segments_equal_portions(quad)
         bisect = ortho and geom.brahmagupta_theorem_check(quad)
-        items.append(
-            {
-                "r": quad.r,
-                "vertices": quad.vertices,
-                "segments_equal_portions": ortho,
-                "bisection_theorem": bisect,
-            }
-        )
-        d1, d2 = geom.diagonal_lengths_sq(quad)
-        out.add(
-            f"quad {i}",
-            [
-                ("vertices", "; ".join(f"({v.x}, {v.y})" for v in quad.vertices)),
-                ("area", geom.shoelace_area(quad)),
-                ("diagonals squared", f"{d1}, {d2}"),
-                ("segments equal portions", ortho),
-                ("bisection theorem", bisect),
-            ],
-        )
+        verdicts: list[Row] = [("segments equal portions", ortho), ("bisection theorem", bisect)]
+        if as_json:
+            items.append(
+                {
+                    "r": to_fraction_text(quad.r),
+                    "vertices": [[to_fraction_text(v.x), to_fraction_text(v.y)] for v in quad.vertices],
+                    "segments_equal_portions": ortho,
+                    "bisection_theorem": bisect,
+                }
+            )
+            # JSON prints only the items; cli_main still reads the exit status off these verdict rows.
+            out.add(f"quad {i}", verdicts)
+        else:
+            d1, d2 = geom.diagonal_lengths_sq(quad)
+            out.add(
+                f"quad {i}",
+                [
+                    ("vertices", "; ".join(f"({v.x}, {v.y})" for v in quad.vertices)),
+                    ("area", geom.shoelace_area(quad)),
+                    ("diagonals squared", f"{d1}, {d2}"),
+                    *verdicts,
+                ],
+            )
     return out
 
 
@@ -206,10 +211,21 @@ def _cmd_xii24(args: argparse.Namespace) -> Report:
     return out
 
 
+def _int(text: str) -> int:
+    """int(text), with a digit string past Python's str-conversion limit refused by name."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # int()'s refusal of a too-long digit string
+            message = f"an integer in this literal has more than {sys.get_int_max_str_digits()} digits"
+            raise argparse.ArgumentTypeError(message) from None
+        raise
+
+
 def _positive_int(text: str, limit: int | None = None) -> int:
     """argparse type for digit counts, seeds and quad counts, capped at limit if given."""
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -228,13 +244,9 @@ def _rational(text: str) -> Fraction:
     # Strip first: str.strip() drops the separators U+001C..U+001F, int() does not.
     num, slash, den = text.strip().partition("/")
     try:
-        return rat(int(num), int(den) if slash else 1)
-    except ValueError as exc:
-        if str(exc).startswith("Exceeds the limit"):  # int()'s refusal of a too-long digit string
-            message = f"an integer in this literal has more than {sys.get_int_max_str_digits()} digits"
-        else:
-            message = f"expected a rational num/den, got {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
+        return rat(_int(num), _int(den) if slash else 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a rational num/den, got {text!r}") from None
 
 
 def _nonnegative_rational(text: str) -> Fraction:

@@ -172,13 +172,15 @@ def diagonals_cut_params(quad: CyclicQuad) -> tuple[Fraction, Fraction]:
     return Fraction(ex * vy - ey * vx, det), Fraction(ex * uy - ey * ux, det)
 
 
-def _feet_at(o: tuple[int, int], e: tuple[int, int], apexes: tuple[tuple[int, int], ...], mu: Fraction) -> bool:
-    """Whether the perpendicular foot of each apex p on base o-e sits at
-    o + mu (e - o). The foot is at lam = ((p - o).base) / (base.base), so
+def _feet_at(o: tuple[int, int], e: tuple[int, int], p: tuple[int, int], q: tuple[int, int],
+             mu: Fraction) -> bool:
+    """Whether the perpendicular feet of the apexes p and q on base o-e both sit
+    at o + mu (e - o). The foot of p is at lam = ((p - o).base) / (base.base), so
     with mu = n/m the test is ((p - o).base) m == n (base.base)."""
     bx, by = e[0] - o[0], e[1] - o[1]
-    rhs = mu.numerator * (bx * bx + by * by)
-    return all(((p[0] - o[0]) * bx + (p[1] - o[1]) * by) * mu.denominator == rhs for p in apexes)
+    m, rhs = mu.denominator, mu.numerator * (bx * bx + by * by)
+    return (((p[0] - o[0]) * bx + (p[1] - o[1]) * by) * m == rhs
+            and ((q[0] - o[0]) * bx + (q[1] - o[1]) * by) * m == rhs)
 
 
 def segments_equal_portions(quad: CyclicQuad) -> bool:
@@ -190,7 +192,7 @@ def segments_equal_portions(quad: CyclicQuad) -> bool:
     """
     _, (a, b, c, d) = quad.homogeneous
     mu_ac, mu_bd = diagonals_cut_params(quad)
-    return _feet_at(a, c, (b, d), mu_ac) and _feet_at(b, d, (a, c), mu_bd)
+    return _feet_at(a, c, b, d, mu_ac) and _feet_at(b, d, a, c, mu_bd)
 
 
 def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
@@ -304,11 +306,13 @@ DEMO_QUAD_LIMIT = math.lcm(len(PYTHAGOREAN_PARAMS) * (len(PYTHAGOREAN_PARAMS) - 
 
 
 @functools.cache
-def _demo_point(ti: int, ri: int) -> tuple[RationalPoint, tuple[int, int, int]]:
-    """Table entry ti on demo radius ri, and its integer form (X, Y, D) with
-    D > 0. Filled on first use; it never holds more than the 31 x 4 grid."""
+def _demo_point(ti: int, ri: int) -> tuple[RationalPoint, RationalPoint, tuple[int, int, int]]:
+    """Table entry ti on demo radius ri, its antipode, and its integer form
+    (X, Y, D) with D > 0. Filled on first use; it never holds more than the
+    31 x 4 grid."""
     x, y, big_d = form = _param_form(PYTHAGOREAN_PARAMS[ti], _DEMO_RADII[ri])
-    return RationalPoint(Fraction(x, big_d), Fraction(y, big_d)), form
+    a = RationalPoint(Fraction(x, big_d), Fraction(y, big_d))
+    return a, RationalPoint(-a.x, -a.y), form
 
 
 def _reflect_across_diameter(b: tuple[int, int, int], a: tuple[int, int, int]) -> RationalPoint:
@@ -345,10 +349,9 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
         if ti == ui:
             continue
         ri = len(quads) % len(_DEMO_RADII)
-        a, big_a = _demo_point(ti, ri)
-        b, big_b = _demo_point(ui, ri)
-        # b is neither a nor -a: the table's parameters are distinct and >= 0, and -a sits at -1/t.
-        c = RationalPoint(-a.x, -a.y)
+        a, c, big_a = _demo_point(ti, ri)
+        b, _, big_b = _demo_point(ui, ri)
+        # b is neither a nor c = -a: the table's parameters are distinct and >= 0, and -a sits at -1/t.
         d = _reflect_across_diameter(big_b, big_a)
         # (b - a) x (c - a) with c = -a is 2 (a x b), of the sign of A x B as D > 0.
         orient = big_a[0] * big_b[1] - big_a[1] * big_b[0]

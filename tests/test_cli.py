@@ -223,6 +223,7 @@ class TestExitCodes:
         assert code == 0
         assert f"decimal: {to_decimal(rat(577, 408), 1000)}\n" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "markdown", "json"])
     @pytest.mark.parametrize(
         "target, fake, argv, falses",
         [
@@ -235,9 +236,9 @@ class TestExitCodes:
             ),
         ],
     )
-    def test_false_verdict_exits_1(self, capsys, monkeypatch, target, fake, argv, falses):
+    def test_false_verdict_exits_1(self, capsys, monkeypatch, target, fake, argv, falses, fmt):
         monkeypatch.setattr(geom, target, fake(getattr(geom, target)))
-        code, out = run_cli(capsys, *argv)
+        code, out = run_cli(capsys, *argv, "--format", fmt)
         assert code == 1
         assert out.count(": false") == falses
 
@@ -369,7 +370,14 @@ class TestLargeValues:
         assert (f"(~ {decimal})" in out) == (fmt != "json")
 
     @pytest.mark.parametrize(
-        "argv, name", [(["area", "7" * 4301, "1", "1", "1"], "a"), (["xii24", "7" * 4301, "7"], "t")]
+        "argv, name",
+        [
+            (["area", "7" * 4301, "1", "1", "1"], "a"),
+            (["xii24", "7" * 4301, "7"], "t"),
+            (["quad", "demo", "--seed", "7" * 4301], "--seed"),
+            (["quad", "demo", "--count", "7" * 4301], "--count"),
+            (["sqrt2", "--precision", "7" * 4301], "--precision"),
+        ],
     )
     def test_literal_past_the_str_limit_exits_2(self, capsys, argv, name):
         with pytest.raises(SystemExit) as excinfo:
@@ -411,6 +419,55 @@ class TestDeterminism:
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
         assert first == second
+
+
+def oracle_cmd_quad(args):
+    """The quad demo as it ran when it built every format's rows and items,
+    whichever format was asked for, kept as its oracle."""
+    items = []
+    out = Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", data=items)
+    for i, quad in enumerate(geom.orthodiagonal_generator(args.seed, args.count), start=1):
+        ortho = geom.segments_equal_portions(quad)
+        bisect = ortho and geom.brahmagupta_theorem_check(quad)
+        items.append(
+            {
+                "r": quad.r,
+                "vertices": quad.vertices,
+                "segments_equal_portions": ortho,
+                "bisection_theorem": bisect,
+            }
+        )
+        d1, d2 = geom.diagonal_lengths_sq(quad)
+        out.add(
+            f"quad {i}",
+            [
+                ("vertices", "; ".join(f"({v.x}, {v.y})" for v in quad.vertices)),
+                ("area", geom.shoelace_area(quad)),
+                ("diagonals squared", f"{d1}, {d2}"),
+                ("segments equal portions", ortho),
+                ("bisection theorem", bisect),
+            ],
+        )
+    return out
+
+
+def exit_status(report):
+    """The status cli_main gives a report it printed: 1 when a boolean row is false."""
+    return 1 if any(value is False for _, rows in report.sections for _, value in rows) else 0
+
+
+@pytest.mark.parametrize("count", [1, 37, 1860])
+@pytest.mark.parametrize("seed", [1, 2, 9, 12345, 999983])
+def test_quad_demo_matches_the_oracle(seed, count):
+    # The report does not depend on --precision, so each one is built once
+    # per format and rendered at every precision.
+    expected = oracle_cmd_quad(argparse.Namespace(seed=seed, count=count))
+    for fmt in ("text", "markdown", "json"):
+        args = build_parser().parse_args(["quad", "demo", "--seed", str(seed), "--count", str(count), "--format", fmt])
+        report = args.func(args)
+        assert exit_status(report) == exit_status(expected) == 0
+        for precision in (4, 12, 30):
+            assert render_report(report, fmt, precision) == render_report(expected, fmt, precision)
 
 
 class TestCachedParser:

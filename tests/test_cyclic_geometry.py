@@ -704,6 +704,14 @@ class TestOrthodiagonalGenerator:
         for seed in (1, 2, 3, 4, 12345):
             assert orthodiagonal_generator(seed, DEMO_QUAD_LIMIT) == oracle_orthodiagonal_generator(seed, DEMO_QUAD_LIMIT)
 
+    def test_point_grid_holds_each_point_and_its_antipode(self):
+        for ti, t in enumerate(PYTHAGOREAN_PARAMS):
+            for ri, r in enumerate(_DEMO_RADII):
+                a, c, form = _demo_point(ti, ri)
+                assert a == point_from_param(t, r)
+                assert c == RationalPoint(-a.x, -a.y)
+                assert (a.x, a.y) == (Fraction(form[0], form[2]), Fraction(form[1], form[2]))
+
     def test_point_grid_holds_no_more_than_the_grid(self):
         for seed in (1, 2):
             orthodiagonal_generator(seed, DEMO_QUAD_LIMIT)
