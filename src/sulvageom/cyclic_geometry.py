@@ -33,12 +33,6 @@ def _as_rat(v: Fraction | int) -> Fraction:
     return v if isinstance(v, Fraction) else rat(v)
 
 
-def _integer_form(values) -> tuple[int, list[int]]:
-    """The least common denominator w of some rationals, and each value times w."""
-    w = math.lcm(*(v.denominator for v in values))
-    return w, [v.numerator * (w // v.denominator) for v in values]
-
-
 def _dist_sq(p: tuple[int, int], q: tuple[int, int]) -> int:
     return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
@@ -52,26 +46,45 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
     ``homogeneous`` is the same quad over one integer denominator:
     ``(w, points)``, with w the least common denominator of r and the eight
     coordinates, and points the four integer pairs (x w, y w). It is
-    computed once, at construction, outside eq, hash and repr; the validation
-    and the predicates below decide on these integers by cross-multiplication.
+    computed once, at construction, outside eq, hash and repr, as the lcm of
+    r's denominator and each vertex's D in its least form (X, Y, D); the
+    validation and the predicates below decide on these integers by
+    cross-multiplication. The checks live in ``_from_forms``; builders that
+    already hold the least forms call it directly, and this constructor
+    derives them from the coordinates first.
     """
 
     def __new__(cls, r: Fraction | int, vertices: tuple[RationalPoint, ...]) -> CyclicQuad:
-        w, (big_r, *coords) = _integer_form((r, *(c for v in vertices for c in (v.x, v.y))))
-        points = tuple(zip(coords[::2], coords[1::2]))
+        forms = []
+        for x, y in vertices:
+            big_d = math.lcm(x.denominator, y.denominator)
+            forms.append((x.numerator * (big_d // x.denominator), y.numerator * (big_d // y.denominator), big_d))
+        return cls._from_forms(r, vertices, forms)
+
+    @classmethod
+    def _from_forms(cls, r: Fraction | int, vertices: tuple[RationalPoint, ...],
+                    forms: list[tuple[int, int, int]]) -> CyclicQuad:
+        """The checks and the integer form of every quad. Each of ``forms`` is
+        its vertex as (X, Y, D) with D > 0 and gcd(X, Y, D) = 1, so that D is
+        the lcm of the vertex's two denominators; the caller vouches for that."""
+        if len(forms) != 4:
+            raise ValueError(f"a quad has exactly 4 vertices, not {len(forms)}")
+        w = math.lcm(r.denominator, *[big_d for _, _, big_d in forms])
+        big_r = r.numerator * (w // r.denominator)
         if big_r <= 0:
             raise ValueError(f"radius {r} must be positive")
+        points = tuple([(x * (k := w // big_d), y * k) for x, y, big_d in forms])
         rsq = big_r * big_r
         for v, (x, y) in zip(vertices, points):
             if x * x + y * y != rsq:
                 raise ValueError(f"vertex ({v.x}, {v.y}) is off the circle of radius {r}")
         if len(set(points)) != 4:
             raise ValueError("vertices must be pairwise distinct")
-        for i in range(4):
-            (ax, ay), (bx, by), (cx, cy) = points[i], points[(i + 1) % 4], points[(i + 2) % 4]
-            turn = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-            if turn < 0:
-                raise ValueError("vertices are not in counterclockwise circular order")
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = points
+        # Distinct points on a circle never turn by 0, and a, b, c, d run counterclockwise
+        # exactly when the triangles a, b, c and a, c, d both do.
+        if (bx - ax) * (cy - ay) < (by - ay) * (cx - ax) or (cx - ax) * (dy - ay) < (cy - ay) * (dx - ax):
+            raise ValueError("vertices are not in counterclockwise circular order")
         quad = super().__new__(cls, r, vertices)
         quad.__dict__["homogeneous"] = (w, points)
         return quad
@@ -86,20 +99,28 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
 
 
 def _param_form(t: Fraction | int, r: Fraction | int) -> tuple[int, int, int]:
-    """The point_from_param point (X/D, Y/D) as the integers (X, Y, D), D > 0, not reduced."""
+    """The point_from_param point (X/D, Y/D) as its least integer form (X, Y, D):
+    D > 0 and gcd(X, Y, D) = 1. Before the division, gcd(X, Y) divides
+    2 r.numerator, so that small number leads the gcd and it stays cheap."""
     t, r = _as_rat(t), _as_rat(r)
     if r <= 0:
         raise ValueError(f"radius {r} must be positive")
     n, d = t.numerator, t.denominator
-    return r.numerator * (d * d - n * n), 2 * r.numerator * n * d, r.denominator * (d * d + n * n)
+    x, y, big_d = r.numerator * (d * d - n * n), 2 * r.numerator * n * d, r.denominator * (d * d + n * n)
+    g = math.gcd(2 * r.numerator, big_d, x, y)
+    return x // g, y // g, big_d // g
+
+
+def _point(form: tuple[int, int, int]) -> RationalPoint:
+    x, y, big_d = form
+    return RationalPoint(Fraction(x, big_d), Fraction(y, big_d))
 
 
 def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
     """Rational point on the circle of radius r via the tan-half-angle map:
     (r(1 - t^2)/(1 + t^2), 2rt/(1 + t^2)). The point (-r, 0) is unreachable
     and must be built directly."""
-    x, y, denom = _param_form(t, r)
-    return RationalPoint(Fraction(x, denom), Fraction(y, denom))
+    return _point(_param_form(t, r))
 
 
 def shoelace_area(quad: CyclicQuad) -> Fraction:
@@ -118,7 +139,8 @@ def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> 
     should flag it as such.
     """
     # With the sides X/D over their lcm D > 0 and S = sum X, s - side = (S - 2X)/(2D).
-    big_d, xs = _integer_form((a, b, c, d))
+    big_d = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    xs = [side.numerator * (big_d // side.denominator) for side in (a, b, c, d)]
     if any(x < 0 for x in xs):
         raise NotRealizable("sides must be nonnegative")
     if xs.count(0) > 1:
@@ -158,7 +180,8 @@ def triquadrilateral(t1: Fraction | int, t2: Fraction | int, t3: Fraction | int,
     t4 on the same circle. The parameters must already trace one convex
     counterclockwise sweep."""
     r = _as_rat(r)
-    return CyclicQuad(r, tuple(point_from_param(t, r) for t in (t1, t2, t3, t4)))
+    forms = [_param_form(t, r) for t in (t1, t2, t3, t4)]
+    return CyclicQuad._from_forms(r, tuple(map(_point, forms)), forms)
 
 
 def diagonals_cut_params(quad: CyclicQuad) -> tuple[Fraction, Fraction]:
@@ -307,20 +330,23 @@ DEMO_QUAD_LIMIT = math.lcm(len(PYTHAGOREAN_PARAMS) * (len(PYTHAGOREAN_PARAMS) - 
 
 @functools.cache
 def _demo_point(ti: int, ri: int) -> tuple[RationalPoint, RationalPoint, tuple[int, int, int]]:
-    """Table entry ti on demo radius ri, its antipode, and its integer form
-    (X, Y, D) with D > 0. Filled on first use; it never holds more than the
+    """Table entry ti on demo radius ri, its antipode, and its least integer
+    form (X, Y, D). Filled on first use; it never holds more than the
     31 x 4 grid."""
-    x, y, big_d = form = _param_form(PYTHAGOREAN_PARAMS[ti], _DEMO_RADII[ri])
-    a = RationalPoint(Fraction(x, big_d), Fraction(y, big_d))
+    form = _param_form(PYTHAGOREAN_PARAMS[ti], _DEMO_RADII[ri])
+    a = _point(form)
     return a, RationalPoint(-a.x, -a.y), form
 
 
-def _reflect_across_diameter(b: tuple[int, int, int], a: tuple[int, int, int]) -> RationalPoint:
+def _reflect_across_diameter(b: tuple[int, int, int], a: tuple[int, int, int]) -> tuple[int, int, int]:
     """Mirror b across the line through the origin and a, both in integer
-    form (X, Y, D): (2 (B.A) A - (A.A) B) / (D_b A.A), with no lcm."""
+    form (X, Y, D): (2 (B.A) A - (A.A) B) / (D_b A.A), with no lcm, returned
+    as its least form."""
     (bx, by, bd), (ax, ay, _) = b, a
     dot, aa = bx * ax + by * ay, ax * ax + ay * ay
-    return RationalPoint(Fraction(2 * dot * ax - aa * bx, bd * aa), Fraction(2 * dot * ay - aa * by, bd * aa))
+    x, y, big_d = 2 * dot * ax - aa * bx, 2 * dot * ay - aa * by, bd * aa
+    g = math.gcd(x, y, big_d)
+    return x // g, y // g, big_d // g
 
 
 def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
@@ -352,11 +378,15 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
         a, c, big_a = _demo_point(ti, ri)
         b, _, big_b = _demo_point(ui, ri)
         # b is neither a nor c = -a: the table's parameters are distinct and >= 0, and -a sits at -1/t.
-        d = _reflect_across_diameter(big_b, big_a)
+        big_d = _reflect_across_diameter(big_b, big_a)
+        big_c = (-big_a[0], -big_a[1], big_a[2])
+        d = _point(big_d)
         # (b - a) x (c - a) with c = -a is 2 (a x b), of the sign of A x B as D > 0.
-        orient = big_a[0] * big_b[1] - big_a[1] * big_b[0]
-        order = (a, b, c, d) if orient > 0 else (a, d, c, b)
-        quads.append(CyclicQuad(_DEMO_RADII[ri], order))
+        if big_a[0] * big_b[1] - big_a[1] * big_b[0] > 0:
+            order, forms = (a, b, c, d), [big_a, big_b, big_c, big_d]
+        else:
+            order, forms = (a, d, c, b), [big_a, big_d, big_c, big_b]
+        quads.append(CyclicQuad._from_forms(_DEMO_RADII[ri], order, forms))
     return quads
 
 

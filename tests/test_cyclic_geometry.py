@@ -32,6 +32,7 @@ from sulvageom.cyclic_geometry import (
     xii24_verify,
     _DEMO_RADII,
     _demo_point,
+    _param_form,
     _reflect_across_diameter,
 )
 from sulvageom.exact_numbers import rat, sqrt_exact
@@ -218,6 +219,13 @@ def integer_form(p):
     return p.x.numerator * p.y.denominator, p.y.numerator * p.x.denominator, big_d
 
 
+def assert_least_form_of(form, point):
+    """form is (X, Y, D) with D > 0, gcd(X, Y, D) = 1 and point = (X/D, Y/D)."""
+    x, y, big_d = form
+    assert big_d > 0 and math.gcd(x, y, big_d) == 1
+    assert point == (Fraction(x, big_d), Fraction(y, big_d))
+
+
 def assert_kernel_matches_oracle(quad):
     assert diagonals_cut_params(quad) == oracle_cut_params(quad)[:2]
     ortho = oracle_segments_equal_portions(quad)
@@ -346,6 +354,7 @@ class TestPointsAndChords:
         r = rat(r.numerator, r.denominator)
         p = point_from_param(t, r)
         assert p.x * p.x + p.y * p.y == r * r
+        assert_least_form_of(_param_form(t, r), oracle_point(t, r))
 
 
 class TestCyclicQuadValidation:
@@ -360,6 +369,29 @@ class TestCyclicQuadValidation:
     def test_wrong_order_rejected(self):
         with pytest.raises(ValueError, match="vertices are not in counterclockwise circular order"):
             CyclicQuad(rat(1), (pt(1, 0), pt(-1, 0), pt(0, 1), pt(0, -1)))
+
+    @pytest.mark.parametrize("quad", [KITE, *generic_quads(3)])
+    def test_only_the_rotations_of_the_sweep_accepted(self, quad):
+        rotations = {quad.vertices[i:] + quad.vertices[:i] for i in range(4)}
+        for order in itertools.permutations(quad.vertices):
+            if order in rotations:
+                assert CyclicQuad(quad.r, order) == (quad.r, order)
+            else:
+                with pytest.raises(ValueError, match="not in counterclockwise circular order"):
+                    CyclicQuad(quad.r, order)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [(), KITE.vertices[:3], KITE.vertices + (KITE.vertices[0],), KITE.vertices + (pt(0, 1),)],
+        ids=["none", "three", "five-one-repeated", "five-distinct"],
+    )
+    def test_vertex_count_other_than_four_rejected(self, vertices):
+        with pytest.raises(ValueError, match=f"a quad has exactly 4 vertices, not {len(vertices)}"):
+            CyclicQuad(rat(1), vertices)
+
+    def test_replace_with_five_vertices_rejected(self):
+        with pytest.raises(ValueError, match="a quad has exactly 4 vertices, not 5"):
+            KITE._replace(vertices=KITE.vertices + (KITE.vertices[0],))
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_nonpositive_radius_rejected(self, r):
@@ -704,13 +736,19 @@ class TestOrthodiagonalGenerator:
         for seed in (1, 2, 3, 4, 12345):
             assert orthodiagonal_generator(seed, DEMO_QUAD_LIMIT) == oracle_orthodiagonal_generator(seed, DEMO_QUAD_LIMIT)
 
+    def test_integer_form_is_the_constructors(self):
+        # Eq and hash ignore homogeneous, so a w that is not the least would pass the oracle test above.
+        for seed in (1, 2, 3, 4):
+            for quad in orthodiagonal_generator(seed, DEMO_QUAD_LIMIT):
+                assert quad.homogeneous == CyclicQuad(quad.r, quad.vertices).homogeneous
+
     def test_point_grid_holds_each_point_and_its_antipode(self):
         for ti, t in enumerate(PYTHAGOREAN_PARAMS):
             for ri, r in enumerate(_DEMO_RADII):
                 a, c, form = _demo_point(ti, ri)
                 assert a == point_from_param(t, r)
                 assert c == RationalPoint(-a.x, -a.y)
-                assert (a.x, a.y) == (Fraction(form[0], form[2]), Fraction(form[1], form[2]))
+                assert_least_form_of(form, a)
 
     def test_point_grid_holds_no_more_than_the_grid(self):
         for seed in (1, 2):
@@ -772,13 +810,17 @@ class TestKernelMatchesOracle:
         ts, r = inputs
         points = tuple(point_from_param(t, r) for t in ts)
         assert points == tuple(oracle_point(t, r) for t in ts)
-        assert_kernel_matches_oracle(CyclicQuad(r, points))
+        quad = triquadrilateral(*ts, r)
+        assert quad == CyclicQuad(r, points)
+        assert quad.homogeneous == CyclicQuad(r, points).homogeneous
+        assert_kernel_matches_oracle(quad)
         # An orthodiagonal quad on the first two: a diameter and a mirrored pair.
         a, b = points[:2]
         if b == RationalPoint(-a.x, -a.y):
             return
-        d = _reflect_across_diameter(integer_form(b), integer_form(a))
-        assert d == oracle_reflect(b, a)
+        for form_b, form_a in ((integer_form(b), integer_form(a)), (_param_form(ts[1], r), _param_form(ts[0], r))):
+            assert_least_form_of(_reflect_across_diameter(form_b, form_a), oracle_reflect(b, a))
+        d = oracle_reflect(b, a)
         c = RationalPoint(-a.x, -a.y)
         quad = CyclicQuad(r, (a, b, c, d) if a.x * b.y - a.y * b.x > 0 else (a, d, c, b))
         assert_kernel_matches_oracle(quad)

@@ -3,17 +3,23 @@ in every format, at fixed arguments.
 
 The files under tests/golden/ are the reference that refactors are held to:
 a change that alters one byte of them alters the CLI's output contract.
-Rewrite them with ``PYTHONPATH=src python tests/test_golden.py`` only from
-a commit whose output is known to be right, and review the diff.
+Compare every case with its file, on any Python and with the standard
+library alone, by
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which names each case that differs on stderr and exits 1 if any does.
+Without ``--check`` the script rewrites the files: do that only from a
+commit whose output is known to be right, and review the diff.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import sys
 from pathlib import Path
-
-import pytest
 
 from sulvageom.cli import cli_main
 
@@ -50,22 +56,45 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("name, argv, code", CASES, ids=[name for name, _, _ in CASES])
+def pytest_generate_tests(metafunc):
+    # A hook rather than pytest.mark, so that the script below runs without pytest.
+    if metafunc.function is test_golden_output:
+        metafunc.parametrize("name, argv, code", CASES, ids=[name for name, _, _ in CASES])
+
+
 def test_golden_output(capsysbinary, name, argv, code):
     assert cli_main(argv) == code
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 
-def _write_golden() -> None:
+def _run(argv: list[str]) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    return code, out.getvalue().encode("utf-8")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite the golden files, or compare the output with them.")
+    parser.add_argument("--check", action="store_true", help="compare only; exit 1 if any case differs")
+    check = parser.parse_args(argv).check
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv, code in CASES:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            got = cli_main(argv)
+    differ = 0
+    for name, argv_, code in CASES:
+        got, out = _run(argv_)
+        path = GOLDEN / name
         if got != code:
-            raise SystemExit(f"{name}: exit code {got}, expected {code}")
-        (GOLDEN / name).write_bytes(out.getvalue().encode("utf-8"))
+            differ += 1
+            print(f"{name}: exit code {got}, expected {code}", file=sys.stderr)
+        elif not check:
+            path.write_bytes(out)
+        elif not path.exists() or path.read_bytes() != out:
+            differ += 1
+            print(f"{name}: output differs from {path}", file=sys.stderr)
+    if check:
+        print(f"{len(CASES) - differ} of {len(CASES)} golden cases match, Python {sys.version.split()[0]}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    _write_golden()
+    sys.exit(main())
