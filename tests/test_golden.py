@@ -74,14 +74,15 @@ def _run(argv: list[str]) -> tuple[int, bytes]:
     return code, out.getvalue().encode("utf-8")
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Rewrite the golden files, or compare the output with them.")
     parser.add_argument("--check", action="store_true", help="compare only; exit 1 if any case differs")
-    check = parser.parse_args(argv).check
-    GOLDEN.mkdir(exist_ok=True)
+    check = parser.parse_args(args).check
+    if not check:
+        GOLDEN.mkdir(exist_ok=True)
     differ = 0
-    for name, argv_, code in CASES:
-        got, out = _run(argv_)
+    for name, argv, code in CASES:
+        got, out = _run(argv)
         path = GOLDEN / name
         if got != code:
             differ += 1
