@@ -77,7 +77,7 @@ def _cmd_sqrt2(args: argparse.Namespace) -> Report:
             ("terms", " + ".join(to_fraction_text(t) for t in terms)),
             ("value", value),
             ("decimal", to_decimal(value, args.precision)),
-            ("square minus 2", value * value - rat(2)),
+            ("square minus 2", value * value - 2),
         ],
     )
     return report
@@ -201,7 +201,7 @@ _XII24_VERDICTS = {
 
 
 def _cmd_xii24(args: argparse.Namespace) -> Report:
-    result = geom.xii24_verify(args.t, args.u, rat(1))
+    result = geom.xii24_verify(args.t, args.u, 1)
     squares = ("a_sq", "b_sq", "gamma_sq", "alpha_sq", "beta_sq", "h_sq")
     quantities = {"lambda": result.lam} | {name: getattr(result, name) for name in squares}
     verdicts = {name: getattr(result, name) for name in _XII24_VERDICTS}

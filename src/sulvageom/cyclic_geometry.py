@@ -15,8 +15,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact_numbers import rat
-
 
 class DegenerateBase(ValueError):
     """A half-oblong apex on an end of its base diameter."""
@@ -27,10 +25,6 @@ class NotRealizable(ValueError):
 
 
 RationalPoint = namedtuple("RationalPoint", "x y")
-
-
-def _as_rat(v: Fraction | int) -> Fraction:
-    return v if isinstance(v, Fraction) else rat(v)
 
 
 def _dist_sq(p: tuple[int, int], q: tuple[int, int]) -> int:
@@ -51,10 +45,16 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
     validation and the predicates below decide on these integers by
     cross-multiplication. The checks live in ``_from_forms``; builders that
     already hold the least forms call it directly, and this constructor
-    derives them from the coordinates first.
+    derives them from the coordinates first, and refuses with TypeError a
+    radius or coordinate that is neither an int nor a Fraction. The radius
+    keeps the type it was given; the vertices are stored as a tuple.
     """
 
     def __new__(cls, r: Fraction | int, vertices: tuple[RationalPoint, ...]) -> CyclicQuad:
+        vertices = tuple(vertices)
+        for v in (r, *itertools.chain(*vertices)):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"{v!r} is neither an int nor a Fraction")
         forms = []
         for x, y in vertices:
             big_d = math.lcm(x.denominator, y.denominator)
@@ -101,8 +101,11 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
 def _param_form(t: Fraction | int, r: Fraction | int) -> tuple[int, int, int]:
     """The point_from_param point (X/D, Y/D) as its least integer form (X, Y, D):
     D > 0 and gcd(X, Y, D) = 1. Before the division, gcd(X, Y) divides
-    2 r.numerator, so that small number leads the gcd and it stays cheap."""
-    t, r = _as_rat(t), _as_rat(r)
+    2 r.numerator, so that small number leads the gcd and it stays cheap.
+    An int has a numerator and a denominator too; any other type is refused."""
+    for v in (t, r):
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{v!r} is neither an int nor a Fraction")
     if r <= 0:
         raise ValueError(f"radius {r} must be positive")
     n, d = t.numerator, t.denominator
@@ -179,7 +182,6 @@ def triquadrilateral(t1: Fraction | int, t2: Fraction | int, t3: Fraction | int,
     """Complete the triangle at parameters t1, t2, t3 with a fourth vertex
     t4 on the same circle. The parameters must already trace one convex
     counterclockwise sweep."""
-    r = _as_rat(r)
     forms = [_param_form(t, r) for t in (t1, t2, t3, t4)]
     return CyclicQuad._from_forms(r, tuple(map(_point, forms)), forms)
 
@@ -310,7 +312,7 @@ def diagonal_lengths_sq(quad: CyclicQuad) -> tuple[Fraction, Fraction]:
 # two such points (and the point (-r, 0)) come out rational. First two
 # entries are pinned: seed 1 must reproduce the reference kite.
 PYTHAGOREAN_PARAMS: tuple[Fraction, ...] = tuple(
-    rat(n, d)
+    Fraction(n, d)
     for n, d in (
         (0, 1), (3, 4), (4, 3), (5, 12), (12, 5), (15, 8), (8, 15),
         (7, 24), (24, 7), (20, 21), (21, 20), (9, 40), (40, 9),
@@ -320,7 +322,7 @@ PYTHAGOREAN_PARAMS: tuple[Fraction, ...] = tuple(
     )
 )
 
-_DEMO_RADII: tuple[Fraction, ...] = (rat(1), rat(2), rat(5, 2), rat(3))
+_DEMO_RADII: tuple[Fraction, ...] = (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(3))
 
 # The generator walks every ordered pair of distinct table entries once
 # before it repeats one, while cycling through the radii, so it yields this

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 
 def rat(n: int, d: int = 1) -> Fraction:
-    """Build the normalized rational n/d. Raises ValueError for d = 0, since
-    a zero denominator always comes from a malformed literal or argument.
+    """The command-line literal n/d as a normalized Fraction. Raises
+    ValueError for d = 0, which the CLI reports as a malformed literal;
+    the library builds its rationals with Fraction directly.
 
     Always takes the two-argument Fraction form, which refuses floats.
     """

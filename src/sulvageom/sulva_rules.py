@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact_numbers import rat
-
 # First 50 decimals of pi, truncated. Used only for reporting how far the
 # rules land from the circle constant; no rational equals pi.
 PI_DECIMAL_50 = "3.14159265358979323846264338327950288419716939937510"
@@ -42,7 +40,7 @@ class IdentityReport(namedtuple("IdentityReport", "name left right residual verd
 def sqrt2_i61() -> tuple[Fraction, ...]:
     """Rule I.61-62: the four terms of the square diagonal's approximation,
     1 + 1/3 + 1/12 - 1/408, which sum to 577/408."""
-    return (rat(1), rat(1, 3), rat(1, 12), rat(-1, 408))
+    return (Fraction(1), Fraction(1, 3), Fraction(1, 12), Fraction(-1, 408))
 
 
 def circulature_i58(s: Fraction, sqrt2: Fraction) -> Fraction:
@@ -52,26 +50,26 @@ def circulature_i58(s: Fraction, sqrt2: Fraction) -> Fraction:
     if s <= 0:
         raise ValueError(f"side {s} must be positive")
     half = s / 2
-    excess = (sqrt2 - rat(1)) * half
+    excess = (sqrt2 - 1) * half
     return half + excess / 3
 
 
 def quadrature_ratio_i59() -> Fraction:
     """Rule I.59 as a side-over-diameter ratio:
     1 - (1/(8*29)) * (28 + 1/6 - (1/8)(1/6))."""
-    bracket = rat(28) + rat(1, 6) - rat(1, 8) * rat(1, 6)
-    return rat(1) - bracket / rat(8 * 29)
+    bracket = Fraction(28) + Fraction(1, 6) - Fraction(1, 8) * Fraction(1, 6)
+    return Fraction(1) - bracket / Fraction(8 * 29)
 
 
 def quadrature_ratio_i60() -> Fraction:
     """Rule I.60, the cruder reading: remove 2 of 15 diameter parts."""
-    return rat(1) - rat(2, 15)
+    return Fraction(1) - Fraction(2, 15)
 
 
 def diameter_over_side_i58(sqrt2: Fraction) -> Fraction:
     """d/s implied by I.58 at unit side: 2r with r = circulature_i58(1),
     i.e. (2 + sqrt2)/3 reduced."""
-    return circulature_i58(rat(1), sqrt2) * 2
+    return circulature_i58(Fraction(1), sqrt2) * 2
 
 
 def quadrature_ratio_i58() -> Fraction:
@@ -93,8 +91,8 @@ def verify_decompositions() -> list[IdentityReport]:
     """
     inverse_ratio = quadrature_ratio_i58()
     v59 = quadrature_ratio_i59()
-    alt34 = (rat(1) - rat(33, 8 * 34)) + rat(1, 8 * 34 * 1393)
-    simpler = rat(1) - rat(1, 8) + rat(1, 8 * 34)
+    alt34 = (Fraction(1) - Fraction(33, 8 * 34)) + Fraction(1, 8 * 34 * 1393)
+    simpler = Fraction(1) - Fraction(1, 8) + Fraction(1, 8 * 34)
     return [
         IdentityReport.compare("s/d from I.58 with sqrt2 of I.61-62 vs quadrature I.59", inverse_ratio, v59),
         IdentityReport.compare("s/d from I.58 vs the 34-based decomposition", inverse_ratio, alt34),
@@ -109,6 +107,6 @@ def implied_pi(side_over_diameter: Fraction) -> Fraction:
     An anachronism kept as the standard accuracy metric; the source rules
     never speak of pi.
     """
-    if not (rat(0) < side_over_diameter < rat(1)):
+    if not 0 < side_over_diameter < 1:
         raise ValueError(f"ratio {side_over_diameter} must be in (0, 1)")
     return side_over_diameter * side_over_diameter * 4

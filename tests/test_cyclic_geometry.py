@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -437,6 +438,53 @@ class TestCyclicQuadValidation:
         with pytest.raises(AttributeError, match="'homogeneous'"):
             del KITE.homogeneous
         assert KITE.homogeneous == (25, ((25, 0), (7, 24), (-25, 0), (7, -24)))
+
+    def test_list_vertices_equal_tuple_vertices(self):
+        kite = orthodiagonal_generator(1, 1)[0]
+        for twin in (CyclicQuad(kite.r, list(kite.vertices)), kite._replace(vertices=list(kite.vertices))):
+            assert type(twin.vertices) is tuple
+            assert twin == kite and hash(twin) == hash(kite)
+            assert twin.homogeneous == kite.homogeneous
+
+
+class TestExactTypes:
+    """The kernel takes an int or a Fraction wherever it takes a rational."""
+
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: CyclicQuad(1.0, KITE.vertices), 1.0),
+            (lambda: CyclicQuad(1, (RationalPoint(1.0, 0),) + KITE.vertices[1:]), 1.0),
+            (lambda: point_from_param(0.5, 1), 0.5),
+            (lambda: point_from_param(rat(1, 2), 2.5), 2.5),
+            (lambda: triquadrilateral(-2, 0.5, 1, 3, 1), 0.5),
+            (lambda: xii24_verify(0.5, 7, 1), 0.5),
+        ],
+        ids=["quad-radius", "quad-coordinate", "param", "param-radius", "triquadrilateral", "xii24"],
+    )
+    def test_float_refused_by_name(self, build, bad):
+        with pytest.raises(TypeError, match=f"^{re.escape(repr(bad))} is neither an int nor a Fraction$"):
+            build()
+
+    @pytest.mark.parametrize("r", [1, Fraction(1)], ids=["int-r", "fraction-r"])
+    @pytest.mark.parametrize("kind", [int, Fraction], ids=["int-t", "fraction-t"])
+    def test_int_and_fraction_agree(self, r, kind):
+        ts = (-2, 0, 1, 3)
+        quad, reference = triquadrilateral(*map(kind, ts), r), triquadrilateral(*map(Fraction, ts), Fraction(1))
+        assert quad == reference and hash(quad) == hash(reference)
+        assert quad.homogeneous == reference.homogeneous
+        for t in ts:
+            point = point_from_param(kind(t), r)
+            assert point == point_from_param(Fraction(t), Fraction(1))
+            assert all(type(c) is Fraction for c in point)
+        report = xii24_verify(kind(2), kind(7), r)
+        assert report == xii24_verify(Fraction(2), Fraction(7), Fraction(1))
+        assert all(type(getattr(report, name)) is Fraction
+                   for name in ("lam", "a_sq", "b_sq", "gamma_sq", "alpha_sq", "beta_sq", "h_sq"))
+
+    def test_quad_keeps_the_radius_type(self):
+        assert type(triquadrilateral(-2, 0, 1, 3, 1).r) is int
+        assert type(triquadrilateral(-2, 0, 1, 3, Fraction(1)).r) is Fraction
 
 
 class TestAreas:

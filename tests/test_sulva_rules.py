@@ -157,3 +157,22 @@ def test_pi_reference_digits():
     ref = pi_reference()
     assert ref.denominator * 314159265358979323846264338327950288419716939937510 == ref.numerator * 10**50
     assert to_decimal(ref, 10) == "3.1415926535"
+
+
+def test_public_values_are_fractions():
+    # The golden files render only some of these; circulature_i58 and
+    # diameter_over_side_i58 are reached from the library alone.
+    sqrt2 = sum(sqrt2_i61())
+    values = [
+        *sqrt2_i61(),
+        circulature_i58(Fraction(1), sqrt2),
+        diameter_over_side_i58(sqrt2),
+        quadrature_ratio_i58(),
+        quadrature_ratio_i59(),
+        quadrature_ratio_i60(),
+        implied_pi(quadrature_ratio_i59()),
+        pi_reference(),
+    ]
+    for report in verify_decompositions():
+        values += [report.left, report.right, report.residual]
+    assert [type(v) for v in values] == [Fraction] * len(values)
