@@ -163,8 +163,7 @@ def _cmd_quad(args: argparse.Namespace) -> Report:
     out = Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", data=items)
     as_json = args.format == "json"
     for i, quad in enumerate(geom.orthodiagonal_generator(args.seed, args.count), start=1):
-        ortho = geom.segments_equal_portions(quad)
-        bisect = ortho and geom.brahmagupta_theorem_check(quad)
+        ortho, bisect = geom.orthodiagonal_verdicts(quad)
         verdicts: list[Row] = [("segments equal portions", ortho), ("bisection theorem", bisect)]
         if as_json:
             items.append(

@@ -27,6 +27,12 @@ class NotRealizable(ValueError):
 RationalPoint = namedtuple("RationalPoint", "x y")
 
 
+def _require_exact(*values: object) -> None:
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{v!r} is neither an int nor a Fraction")
+
+
 def _dist_sq(p: tuple[int, int], q: tuple[int, int]) -> int:
     return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
@@ -52,9 +58,7 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
 
     def __new__(cls, r: Fraction | int, vertices: tuple[RationalPoint, ...]) -> CyclicQuad:
         vertices = tuple(vertices)
-        for v in (r, *itertools.chain(*vertices)):
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"{v!r} is neither an int nor a Fraction")
+        _require_exact(r, *itertools.chain(*vertices))
         forms = []
         for x, y in vertices:
             big_d = math.lcm(x.denominator, y.denominator)
@@ -103,9 +107,7 @@ def _param_form(t: Fraction | int, r: Fraction | int) -> tuple[int, int, int]:
     D > 0 and gcd(X, Y, D) = 1. Before the division, gcd(X, Y) divides
     2 r.numerator, so that small number leads the gcd and it stays cheap.
     An int has a numerator and a denominator too; any other type is refused."""
-    for v in (t, r):
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(f"{v!r} is neither an int nor a Fraction")
+    _require_exact(t, r)
     if r <= 0:
         raise ValueError(f"radius {r} must be positive")
     n, d = t.numerator, t.denominator
@@ -161,20 +163,22 @@ def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> 
 def crude_area(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """The gross estimate ((a+c)/2)((b+d)/2); deliberately order-sensitive,
     unlike the true area of four consecutive chords."""
+    _require_exact(a, b, c, d)
     if any(side < 0 for side in (a, b, c, d)):
         raise NotRealizable("sides must be nonnegative")
-    return ((a + c) / 2) * ((b + d) / 2)
+    return Fraction((a + c) * (b + d), 4)
 
 
 def heart_cord(a: Fraction, b: Fraction, h: Fraction) -> Fraction:
     """Circumradius of a triangle from two sides and the perpendicular
     dropped from their common vertex: R = a*b/(2h). Doubled, it is the
     diameter of the circle touching the corners of the completed figure."""
+    _require_exact(a, b, h)
     if h == 0:
         raise ValueError("perpendicular must be nonzero")
     if a <= 0 or b <= 0 or h < 0:
         raise ValueError("sides and perpendicular must be positive")
-    return a * b / (h * 2)
+    return Fraction(a * b, h * 2)
 
 
 def triquadrilateral(t1: Fraction | int, t2: Fraction | int, t3: Fraction | int, t4: Fraction | int,
@@ -186,59 +190,51 @@ def triquadrilateral(t1: Fraction | int, t2: Fraction | int, t3: Fraction | int,
     return CyclicQuad._from_forms(r, tuple(map(_point, forms)), forms)
 
 
-def diagonals_cut_params(quad: CyclicQuad) -> tuple[Fraction, Fraction]:
-    """The parameters (mu_ac, mu_bd) of the point J where the diagonals cross:
-    J = A + mu_ac (C - A) = B + mu_bd (D - B)."""
-    _, ((ax, ay), (bx, by), (cx, cy), (dx, dy)) = quad.homogeneous
-    ux, uy = cx - ax, cy - ay
-    vx, vy = dx - bx, dy - by
-    ex, ey = bx - ax, by - ay
-    det = ux * vy - uy * vx
-    return Fraction(ex * vy - ey * vx, det), Fraction(ex * uy - ey * ux, det)
+def orthodiagonal_verdicts(quad: CyclicQuad) -> tuple[bool, bool]:
+    """(segments equal portions, bisection theorem), decided on the integer
+    form; (False, False) when the diagonals are not perpendicular.
 
-
-def _feet_at(o: tuple[int, int], e: tuple[int, int], p: tuple[int, int], q: tuple[int, int],
-             mu: Fraction) -> bool:
-    """Whether the perpendicular feet of the apexes p and q on base o-e both sit
-    at o + mu (e - o). The foot of p is at lam = ((p - o).base) / (base.base), so
-    with mu = n/m the test is ((p - o).base) m == n (base.base)."""
-    bx, by = e[0] - o[0], e[1] - o[1]
-    m, rhs = mu.denominator, mu.numerator * (bx * bx + by * by)
-    return (((p[0] - o[0]) * bx + (p[1] - o[1]) * by) * m == rhs
-            and ((q[0] - o[0]) * bx + (q[1] - o[1]) * by) * m == rhs)
+    With u = C - A, v = D - B, e = B - A and det = u x v, the diagonals cross at
+    J = A + (n_ac/det) u = B + (n_bd/det) v, n_ac = e x v and n_bd = e x u. Each test
+    is homogeneous in these unreduced cuts, so det's sign does not matter. The feet of
+    the apexes on each diagonal sit at its cut: ((p - A).u) det == n_ac (u.u).
+    That is the source text's angle-free test of perpendicular diagonals. The
+    perpendicular to each side through J meets the opposite side r-s at its
+    midpoint: with det J an integer point, 2 ((det J - det r).side) == det ((s - r).side).
+    """
+    _, (a, b, c, d) = quad.homogeneous
+    (ax, ay), (bx, by) = a, b
+    ux, uy, vx, vy, ex, ey = c[0] - ax, c[1] - ay, d[0] - bx, d[1] - by, bx - ax, by - ay
+    det, n_ac = ux * vy - uy * vx, ex * vy - ey * vx
+    rhs = n_ac * (ux * ux + uy * uy)
+    if (ex * ux + ey * uy) * det != rhs or ((d[0] - ax) * ux + (d[1] - ay) * uy) * det != rhs:
+        return False, False
+    rhs = (ex * uy - ey * ux) * (vx * vx + vy * vy)
+    if -(ex * vx + ey * vy) * det != rhs or ((c[0] - bx) * vx + (c[1] - by) * vy) * det != rhs:
+        return False, False
+    jx, jy = det * ax + n_ac * ux, det * ay + n_ac * uy
+    for p, q, r_, s in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
+        sx, sy = q[0] - p[0], q[1] - p[1]
+        denom = (s[0] - r_[0]) * sx + (s[1] - r_[1]) * sy
+        if 2 * ((jx - det * r_[0]) * sx + (jy - det * r_[1]) * sy) != det * denom:
+            return True, False
+    return True, True
 
 
 def segments_equal_portions(quad: CyclicQuad) -> bool:
     """Whether, on each diagonal taken as base of its two triangles, the
-    perpendicular feet coincide with the diagonal intersection.
-
-    This holds exactly when the diagonals are perpendicular: it is the
-    source text's angle-free way of saying so.
-    """
-    _, (a, b, c, d) = quad.homogeneous
-    mu_ac, mu_bd = diagonals_cut_params(quad)
-    return _feet_at(a, c, b, d, mu_ac) and _feet_at(b, d, a, c, mu_bd)
+    perpendicular feet coincide with the diagonal intersection."""
+    return orthodiagonal_verdicts(quad)[0]
 
 
 def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
     """For a quad with perpendicular diagonals: does the perpendicular to
     each side through the diagonal intersection meet the opposite side at
     its exact midpoint? True only if all four sides pass with zero residual."""
-    if not segments_equal_portions(quad):
+    ortho, bisect = orthodiagonal_verdicts(quad)
+    if not ortho:
         raise ValueError("diagonals are not perpendicular")
-    _, (a, b, c, d) = quad.homogeneous
-    mu_ac, _ = diagonals_cut_params(quad)
-    n, m = mu_ac.numerator, mu_ac.denominator
-    # m J = m A + n (C - A), an integer point.
-    jx, jy = m * a[0] + n * (c[0] - a[0]), m * a[1] + n * (c[1] - a[1])
-    for p, q, r_, s in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
-        sx, sy = q[0] - p[0], q[1] - p[1]
-        denom = (s[0] - r_[0]) * sx + (s[1] - r_[1]) * sy
-        # The perpendicular meets line r_-s at r_ + nu (s - r_), where
-        # nu = ((J - r_).side) / denom; the midpoint is nu = 1/2.
-        if 2 * ((jx - m * r_[0]) * sx + (jy - m * r_[1]) * sy) != m * denom:
-            return False
-    return True
+    return bisect
 
 
 class HalfOblongReport(

@@ -47,9 +47,12 @@ def circulature_i58(s: Fraction, sqrt2: Fraction) -> Fraction:
     """Rule I.58: square of side s into a circle of radius
     r = s/2 + E/3, with E = (sqrt2 - 1) * s/2 the excess of the
     half-diagonal over the half-side."""
+    for v in (s, sqrt2):
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{v!r} is neither an int nor a Fraction")
     if s <= 0:
         raise ValueError(f"side {s} must be positive")
-    half = s / 2
+    half = Fraction(s, 2)
     excess = (sqrt2 - 1) * half
     return half + excess / 3
 

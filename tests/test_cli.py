@@ -227,7 +227,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "target, fake, argv, falses",
         [
-            ("brahmagupta_theorem_check", lambda real: lambda quad: False, ["quad", "demo", "--count", "2"], 2),
+            ("orthodiagonal_verdicts", lambda real: lambda quad: (True, False), ["quad", "demo", "--count", "2"], 2),
             (
                 "xii24_verify",
                 lambda real: lambda *a: real(*a)._replace(height_is_mean=False),

@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sulvageom.cyclic_geometry import (
     DEMO_QUAD_LIMIT,
@@ -21,9 +21,9 @@ from sulvageom.cyclic_geometry import (
     brahmagupta_theorem_check,
     crude_area,
     diagonal_lengths_sq,
-    diagonals_cut_params,
     heart_cord,
     orthodiagonal_generator,
+    orthodiagonal_verdicts,
     point_from_param,
     rational_side_quads,
     rational_sides,
@@ -117,6 +117,58 @@ def oracle_bisection_nus(quad):
         side = _sub(q, p)
         nus.append(_dot(_sub(j, r_), side) / _dot(_sub(s, r_), side))
     return nus
+
+
+# -- Oracle: the reduced-cut predicates that orthodiagonal_verdicts replaced --
+
+
+def oracle_reduced_cut_params(quad):
+    """The parameters (mu_ac, mu_bd) of the point J where the diagonals cross,
+    as reduced Fractions: J = A + mu_ac (C - A) = B + mu_bd (D - B)."""
+    _, ((ax, ay), (bx, by), (cx, cy), (dx, dy)) = quad.homogeneous
+    ux, uy = cx - ax, cy - ay
+    vx, vy = dx - bx, dy - by
+    ex, ey = bx - ax, by - ay
+    det = ux * vy - uy * vx
+    return Fraction(ex * vy - ey * vx, det), Fraction(ex * uy - ey * ux, det)
+
+
+def oracle_feet_at(o, e, p, q, mu):
+    """Whether the perpendicular feet of the apexes p and q on base o-e both sit
+    at o + mu (e - o). The foot of p is at lam = ((p - o).base) / (base.base), so
+    with mu = n/m the test is ((p - o).base) m == n (base.base)."""
+    bx, by = e[0] - o[0], e[1] - o[1]
+    m, rhs = mu.denominator, mu.numerator * (bx * bx + by * by)
+    return (((p[0] - o[0]) * bx + (p[1] - o[1]) * by) * m == rhs
+            and ((q[0] - o[0]) * bx + (q[1] - o[1]) * by) * m == rhs)
+
+
+def oracle_reduced_segments_equal_portions(quad):
+    _, (a, b, c, d) = quad.homogeneous
+    mu_ac, mu_bd = oracle_reduced_cut_params(quad)
+    return oracle_feet_at(a, c, b, d, mu_ac) and oracle_feet_at(b, d, a, c, mu_bd)
+
+
+def oracle_reduced_theorem_check(quad):
+    if not oracle_reduced_segments_equal_portions(quad):
+        raise ValueError("diagonals are not perpendicular")
+    _, (a, b, c, d) = quad.homogeneous
+    mu_ac, _ = oracle_reduced_cut_params(quad)
+    n, m = mu_ac.numerator, mu_ac.denominator
+    # m J = m A + n (C - A), an integer point.
+    jx, jy = m * a[0] + n * (c[0] - a[0]), m * a[1] + n * (c[1] - a[1])
+    for p, q, r_, s in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
+        sx, sy = q[0] - p[0], q[1] - p[1]
+        denom = (s[0] - r_[0]) * sx + (s[1] - r_[1]) * sy
+        if 2 * ((jx - m * r_[0]) * sx + (jy - m * r_[1]) * sy) != m * denom:
+            return False
+    return True
+
+
+def oracle_reduced_verdicts(quad):
+    """The quad demo's two verdicts as it decided them on the reduced cuts."""
+    ortho = oracle_reduced_segments_equal_portions(quad)
+    return ortho, ortho and oracle_reduced_theorem_check(quad)
 
 
 def oracle_shoelace(quad):
@@ -228,7 +280,8 @@ def assert_least_form_of(form, point):
 
 
 def assert_kernel_matches_oracle(quad):
-    assert diagonals_cut_params(quad) == oracle_cut_params(quad)[:2]
+    assert oracle_reduced_cut_params(quad) == oracle_cut_params(quad)[:2]
+    assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad)
     ortho = oracle_segments_equal_portions(quad)
     assert segments_equal_portions(quad) == ortho
     if ortho:
@@ -305,6 +358,42 @@ def mixed_param_inputs(draw):
     return sorted(ts), r
 
 
+def orthodiagonal_fourth(ta, tb, tc):
+    """The parameter of the point D that makes chord B-D perpendicular to
+    chord A-C, or None for the unreachable point (-r, 0). In half-angles,
+    phi_d = phi_a + phi_c - phi_b - pi/2 (mod pi), so tan phi_d = -1/T with
+    T = tan(phi_a + phi_c - phi_b), carried as n/d with d = 0 for infinity."""
+    n, d = ta + tc, 1 - ta * tc
+    n, d = n - tb * d, d + tb * n
+    return None if n == 0 else Fraction(-d, n)
+
+
+@st.composite
+def triquadrilateral_inputs(draw):
+    """Four ascending parameters and a radius, plain rationals or Euclid
+    parameters of 12 to 42 bits; when ``ortho`` is drawn, the fourth is
+    orthodiagonal_fourth of the first three and must land on the arc from C
+    back to A, so that A-C and B-D are the diagonals."""
+    bits = draw(st.integers(12, 42))
+    param = st.one_of(euclid_param(bits), st.fractions(min_value=-30, max_value=30, max_denominator=10**6))
+    ts = sorted(draw(st.lists(param, min_size=3, max_size=3, unique=True)))
+    ortho = draw(st.booleans())
+    fourth = orthodiagonal_fourth(*ts) if ortho else draw(param)
+    assume(fourth is not None and fourth not in ts)
+    if ortho:
+        assume(fourth < ts[0] or fourth > ts[2])
+    r = Fraction(draw(st.integers(1, 2**bits)), draw(st.integers(1, 2**bits)))
+    return sorted(ts + [fourth]), r, ortho
+
+
+def unchecked_quad(points):
+    """A CyclicQuad over the integer points (w = 1) that skips every check of
+    the constructor, to reach what no quad on a circle can."""
+    quad = tuple.__new__(CyclicQuad, (1, tuple(RationalPoint(Fraction(x), Fraction(y)) for x, y in points)))
+    quad.__dict__["homogeneous"] = (1, tuple(points))
+    return quad
+
+
 # Sides of either sign, zero among them, as the CLI's area command parses them.
 radicand_side = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
 
@@ -350,6 +439,7 @@ class TestPointsAndChords:
             point_from_param(rat(1, 2), rat(0))
 
     @given(t=st.fractions(), r=st.fractions(min_value="1/10", max_value=10))
+    @example(t=Fraction(1), r=Fraction(2))  # the form (0, 4, 2) before its gcd 2 comes out
     def test_always_on_circle(self, t, r):
         t = rat(t.numerator, t.denominator)
         r = rat(r.numerator, r.denominator)
@@ -459,8 +549,11 @@ class TestExactTypes:
             (lambda: point_from_param(rat(1, 2), 2.5), 2.5),
             (lambda: triquadrilateral(-2, 0.5, 1, 3, 1), 0.5),
             (lambda: xii24_verify(0.5, 7, 1), 0.5),
+            (lambda: crude_area(1, 2, 3.0, 4), 3.0),
+            (lambda: heart_cord(3, 4, 2.4), 2.4),
         ],
-        ids=["quad-radius", "quad-coordinate", "param", "param-radius", "triquadrilateral", "xii24"],
+        ids=["quad-radius", "quad-coordinate", "param", "param-radius", "triquadrilateral", "xii24", "crude",
+             "heart-cord"],
     )
     def test_float_refused_by_name(self, build, bad):
         with pytest.raises(TypeError, match=f"^{re.escape(repr(bad))} is neither an int nor a Fraction$"):
@@ -481,6 +574,12 @@ class TestExactTypes:
         assert report == xii24_verify(Fraction(2), Fraction(7), Fraction(1))
         assert all(type(getattr(report, name)) is Fraction
                    for name in ("lam", "a_sq", "b_sq", "gamma_sq", "alpha_sq", "beta_sq", "h_sq"))
+
+    @pytest.mark.parametrize("kind", [int, Fraction], ids=["int", "fraction"])
+    def test_crude_area_and_heart_cord_give_fractions(self, kind):
+        for value, expected in ((crude_area(*map(kind, (1, 2, 3, 4))), Fraction(6)),
+                                (heart_cord(*map(kind, (3, 4, 5))), Fraction(6, 5))):
+            assert type(value) is Fraction and value == expected
 
     def test_quad_keeps_the_radius_type(self):
         assert type(triquadrilateral(-2, 0, 1, 3, 1).r) is int
@@ -589,6 +688,11 @@ class TestHeartCord:
         with pytest.raises(ValueError, match="must be positive"):
             heart_cord(rat(-3), rat(4), rat(1))
 
+    @pytest.mark.parametrize("a, b", [(0, 4), (3, 0)])
+    def test_zero_side_rejected(self, a, b):
+        with pytest.raises(ValueError, match="must be positive"):
+            heart_cord(rat(a), rat(b), rat(1))
+
 
 class TestTriquadrilateral:
     def test_rotated_square(self):
@@ -620,24 +724,25 @@ def along(p, q, mu):
 
 
 class TestSegmentsAndPortions:
+    # The cut parameters are left to the oracles, which the verdict tests lean on.
     def test_cut_params_square(self):
-        mu_ac, mu_bd = diagonals_cut_params(UNIT_SQUARE)
-        assert (mu_ac, mu_bd) == (rat(1, 2), rat(1, 2))
+        mu_ac, mu_bd, j = oracle_cut_params(UNIT_SQUARE)
+        assert (mu_ac, mu_bd) == (rat(1, 2), rat(1, 2)) == oracle_reduced_cut_params(UNIT_SQUARE)
         a, _, c, _ = UNIT_SQUARE.vertices
-        assert along(a, c, mu_ac) == pt(0, 0) == oracle_cut_params(UNIT_SQUARE)[2]
+        assert along(a, c, mu_ac) == pt(0, 0) == j
 
     def test_cut_params_kite(self):
-        mu_ac, mu_bd = diagonals_cut_params(KITE)
-        assert mu_ac == rat(9, 25)
-        assert mu_bd == rat(1, 2)
+        mu_ac, mu_bd, j = oracle_cut_params(KITE)
+        assert (mu_ac, mu_bd) == (rat(9, 25), rat(1, 2)) == oracle_reduced_cut_params(KITE)
         a, _, c, _ = KITE.vertices
-        assert along(a, c, mu_ac) == pt((7, 25), 0) == oracle_cut_params(KITE)[2]
+        assert along(a, c, mu_ac) == pt((7, 25), 0) == j
 
     def test_intersection_on_both_diagonals(self):
         for quad in generic_quads(10):
-            mu_ac, mu_bd = diagonals_cut_params(quad)
+            mu_ac, mu_bd, j = oracle_cut_params(quad)
+            assert (mu_ac, mu_bd) == oracle_reduced_cut_params(quad)
             a, b, c, d = quad.vertices
-            assert along(a, c, mu_ac) == along(b, d, mu_bd) == oracle_cut_params(quad)[2]
+            assert along(a, c, mu_ac) == along(b, d, mu_bd) == j
             assert rat(0) < mu_ac < rat(1) and rat(0) < mu_bd < rat(1)
 
     def test_square_and_kite_orthodiagonal(self):
@@ -675,6 +780,42 @@ class TestBisectionTheorem:
             assert brahmagupta_theorem_check(quad)
 
 
+class TestOrthodiagonalVerdicts:
+    """One integer pass against the reduced-cut predicates it replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_whole_demo_space(self, seed):
+        for quad in orthodiagonal_generator(seed, DEMO_QUAD_LIMIT):
+            assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad) == (True, True)
+
+    def test_rational_side_quads(self):
+        verdicts = []
+        for quad in rational_side_quads(3000):
+            verdicts.append(orthodiagonal_verdicts(quad))
+            assert verdicts[-1] == oracle_reduced_verdicts(quad)
+        assert set(verdicts) == {(False, False), (True, True)}
+
+    @settings(deadline=None)
+    @given(triquadrilateral_inputs())
+    def test_random_triquadrilaterals(self, inputs):
+        ts, r, ortho = inputs
+        quad = triquadrilateral(*ts, r)
+        assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad)
+        assert orthodiagonal_verdicts(quad)[0] == diagonals_perpendicular(quad)
+        if ortho:
+            assert orthodiagonal_verdicts(quad) == (True, True)
+
+    def test_bisection_needs_the_circle(self):
+        # A convex kite with perpendicular diagonals on the axes and no
+        # circumcircle: its feet sit at the cut, but no perpendicular to a
+        # side through the cut halves the opposite side.
+        quad = unchecked_quad(((2, 0), (0, 3), (-2, 0), (0, -1)))
+        assert diagonals_perpendicular(quad)
+        assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad) == (True, False)
+        assert segments_equal_portions(quad) is True
+        assert brahmagupta_theorem_check(quad) is False
+
+
 class TestHalfOblong:
     def test_3_4_5(self):
         report = xii24_verify(rat(3, 4), rat(24, 7), rat(5, 2))
@@ -686,6 +827,11 @@ class TestHalfOblong:
         assert report.h_sq == rat(144, 25)
         assert report.h_sq * report.h_sq == report.alpha_sq * report.beta_sq
         assert report.all_ok
+
+    def test_all_ok_needs_every_identity(self):
+        report = xii24_verify(rat(3, 4), rat(24, 7), rat(5, 2))
+        for name in ("segment_from_side", "segment_from_upright", "height_is_mean", "base_from_sum"):
+            assert not report._replace(**{name: False}).all_ok
 
     def test_isoceles_apex(self):
         # apex on the perpendicular bisector of the base diameter

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,15 @@ def test_public_values_are_fractions():
     for report in verify_decompositions():
         values += [report.left, report.right, report.residual]
     assert [type(v) for v in values] == [Fraction] * len(values)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction], ids=["int", "fraction"])
+def test_circulature_of_an_int_side_is_a_fraction(kind):
+    value = circulature_i58(kind(1), Fraction(577, 408))
+    assert type(value) is Fraction and value == Fraction(1393, 2448)
+
+
+@pytest.mark.parametrize("s, sqrt2, bad", [(1.0, Fraction(577, 408), 1.0), (1, 1.5, 1.5)], ids=["side", "sqrt2"])
+def test_circulature_refuses_a_float_by_name(s, sqrt2, bad):
+    with pytest.raises(TypeError, match=f"^{re.escape(repr(bad))} is neither an int nor a Fraction$"):
+        circulature_i58(s, sqrt2)
