@@ -45,15 +45,13 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
 
     ``homogeneous`` is the same quad over one integer denominator:
     ``(w, points)``, with w the least common denominator of r and the eight
-    coordinates, and points the four integer pairs (x w, y w). It is
-    computed once, at construction, outside eq, hash and repr, as the lcm of
-    r's denominator and each vertex's D in its least form (X, Y, D); the
-    validation and the predicates below decide on these integers by
-    cross-multiplication. The checks live in ``_from_forms``; builders that
-    already hold the least forms call it directly, and this constructor
-    derives them from the coordinates first, and refuses with TypeError a
-    radius or coordinate that is neither an int nor a Fraction. The radius
-    keeps the type it was given; the vertices are stored as a tuple.
+    coordinates, and points the four integer pairs (x w, y w), computed once
+    at construction, outside eq, hash and repr. The validation and the
+    predicates decide on these integers by cross-multiplication. The checks
+    live in ``_from_forms``, which builders holding each vertex's least form
+    (X, Y, D) call directly; this constructor derives those forms and refuses
+    with TypeError a radius or coordinate that is neither an int nor a
+    Fraction. The radius keeps its type; the vertices are stored as a tuple.
     """
 
     def __new__(cls, r: Fraction | int, vertices: tuple[RationalPoint, ...]) -> CyclicQuad:
@@ -143,6 +141,7 @@ def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> 
     case); there is no textual warrant for it in the source, and callers
     should flag it as such.
     """
+    _require_exact(a, b, c, d)
     # With the sides X/D over their lcm D > 0 and S = sum X, s - side = (S - 2X)/(2D).
     big_d = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
     xs = [side.numerator * (big_d // side.denominator) for side in (a, b, c, d)]

@@ -110,6 +110,8 @@ def implied_pi(side_over_diameter: Fraction) -> Fraction:
     An anachronism kept as the standard accuracy metric; the source rules
     never speak of pi.
     """
+    if not isinstance(side_over_diameter, (int, Fraction)):
+        raise TypeError(f"{side_over_diameter!r} is neither an int nor a Fraction")
     if not 0 < side_over_diameter < 1:
         raise ValueError(f"ratio {side_over_diameter} must be in (0, 1)")
     return side_over_diameter * side_over_diameter * 4

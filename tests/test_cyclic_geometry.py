@@ -280,7 +280,6 @@ def assert_least_form_of(form, point):
 
 
 def assert_kernel_matches_oracle(quad):
-    assert oracle_reduced_cut_params(quad) == oracle_cut_params(quad)[:2]
     assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad)
     ortho = oracle_segments_equal_portions(quad)
     assert segments_equal_portions(quad) == ortho
@@ -551,9 +550,10 @@ class TestExactTypes:
             (lambda: xii24_verify(0.5, 7, 1), 0.5),
             (lambda: crude_area(1, 2, 3.0, 4), 3.0),
             (lambda: heart_cord(3, 4, 2.4), 2.4),
+            (lambda: brahmagupta_radicand(1.0, 1, 1, 1), 1.0),
         ],
         ids=["quad-radius", "quad-coordinate", "param", "param-radius", "triquadrilateral", "xii24", "crude",
-             "heart-cord"],
+             "heart-cord", "radicand"],
     )
     def test_float_refused_by_name(self, build, bad):
         with pytest.raises(TypeError, match=f"^{re.escape(repr(bad))} is neither an int nor a Fraction$"):
@@ -615,6 +615,11 @@ class TestBrahmaguptaRadicand:
         sides = rational_sides(KITE)
         assert sides == (rat(6, 5), rat(8, 5), rat(8, 5), rat(6, 5))
         assert sqrt_exact(brahmagupta_radicand(*sides)) == shoelace_area(KITE)
+
+    def test_half_hexagon(self):
+        # Sides 1, 1, 1, 2 over the common denominator 1: S - 2X for the long side is 1, the
+        # smallest factor that is still positive. The area is 3 sqrt(3)/4.
+        assert brahmagupta_radicand(1, 1, 1, 2) == Fraction(27, 16)
 
     def test_not_realizable(self):
         with pytest.raises(NotRealizable):
@@ -718,33 +723,7 @@ class TestTriquadrilateral:
             triquadrilateral(rat(1), rat(2), rat(3), rat(1), rat(1))
 
 
-def along(p, q, mu):
-    """The point p + mu (q - p)."""
-    return RationalPoint(p.x + mu * (q.x - p.x), p.y + mu * (q.y - p.y))
-
-
 class TestSegmentsAndPortions:
-    # The cut parameters are left to the oracles, which the verdict tests lean on.
-    def test_cut_params_square(self):
-        mu_ac, mu_bd, j = oracle_cut_params(UNIT_SQUARE)
-        assert (mu_ac, mu_bd) == (rat(1, 2), rat(1, 2)) == oracle_reduced_cut_params(UNIT_SQUARE)
-        a, _, c, _ = UNIT_SQUARE.vertices
-        assert along(a, c, mu_ac) == pt(0, 0) == j
-
-    def test_cut_params_kite(self):
-        mu_ac, mu_bd, j = oracle_cut_params(KITE)
-        assert (mu_ac, mu_bd) == (rat(9, 25), rat(1, 2)) == oracle_reduced_cut_params(KITE)
-        a, _, c, _ = KITE.vertices
-        assert along(a, c, mu_ac) == pt((7, 25), 0) == j
-
-    def test_intersection_on_both_diagonals(self):
-        for quad in generic_quads(10):
-            mu_ac, mu_bd, j = oracle_cut_params(quad)
-            assert (mu_ac, mu_bd) == oracle_reduced_cut_params(quad)
-            a, b, c, d = quad.vertices
-            assert along(a, c, mu_ac) == along(b, d, mu_bd) == j
-            assert rat(0) < mu_ac < rat(1) and rat(0) < mu_bd < rat(1)
-
     def test_square_and_kite_orthodiagonal(self):
         assert segments_equal_portions(UNIT_SQUARE)
         assert segments_equal_portions(KITE)

@@ -153,6 +153,10 @@ class TestImpliedPi:
         with pytest.raises(ValueError, match=r"ratio 0 must be in \(0, 1\)"):
             implied_pi(rat(0))
 
+    def test_float_refused_by_name(self):
+        with pytest.raises(TypeError, match=r"^0\.5 is neither an int nor a Fraction$"):
+            implied_pi(0.5)
+
 
 def test_pi_reference_digits():
     ref = pi_reference()

@@ -12,10 +12,10 @@ A mutant is the module with one AST node changed: a comparison swapped
 a `not` or a unary minus dropped, an `if` test negated, or `return x` made
 `return None`. Each worker copies the repository (without .git) to a
 temporary directory once; there the mutant replaces the module and the tests
-run as `python -m pytest -x -q`, with src on PYTHONPATH. A mutant is killed
-when the tests fail or time out. Survivors are printed with their line, and
-the exit status is 1 if any survive. Standard library only; the tests
-themselves need pytest and hypothesis.
+run as `python -m pytest -x -q tests`, with src on PYTHONPATH. A mutant is
+killed when the tests fail or run past TIMEOUT_S seconds. Survivors are
+printed with their line, and the exit status is 1 if any survive. Standard
+library only; the tests themselves need pytest and hypothesis.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
     ast.And: ast.Or, ast.Or: ast.And,
 }
+TIMEOUT_S = 300
 
 
 def sites(node: ast.AST) -> list[tuple[str, object]]:
@@ -99,10 +100,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="path of the module to mutate, under src/")
     parser.add_argument("--function", help="mutate only inside this function")
-    parser.add_argument("--tests", nargs="+", default=["tests"],
-                        help="test paths or node ids for pytest (default: tests)")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=300, help="seconds per mutant before it counts as killed")
     args = parser.parse_args()
     root = Path.cwd().resolve()
     module = Path(args.module).resolve().relative_to(root)  # relative, so mutants go to the copies
@@ -119,9 +117,9 @@ def main() -> int:
         try:
             (tree / module).write_text(apply(source, site[0], site[1]))
             env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-            command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args.tests]
+            command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
             try:
-                done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=args.timeout)
+                done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
                 killed = done.returncode != 0
             except subprocess.TimeoutExpired:
                 killed = True
