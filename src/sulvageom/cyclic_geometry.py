@@ -226,16 +226,6 @@ def segments_equal_portions(quad: CyclicQuad) -> bool:
     return orthodiagonal_verdicts(quad)[0]
 
 
-def brahmagupta_theorem_check(quad: CyclicQuad) -> bool:
-    """For a quad with perpendicular diagonals: does the perpendicular to
-    each side through the diagonal intersection meet the opposite side at
-    its exact midpoint? True only if all four sides pass with zero residual."""
-    ortho, bisect = orthodiagonal_verdicts(quad)
-    if not ortho:
-        raise ValueError("diagonals are not perpendicular")
-    return bisect
-
-
 class HalfOblongReport(
     namedtuple(
         "HalfOblongReport",

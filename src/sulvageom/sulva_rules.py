@@ -25,16 +25,8 @@ VERDICT_EQUAL = "exact-equal"
 VERDICT_RESIDUAL = "differs-by-residual"
 
 
-class IdentityReport(namedtuple("IdentityReport", "name left right residual verdict")):
-    """Bit-exact comparison of two rationals; residual = left - right."""
-
-    __slots__ = ()
-
-    @classmethod
-    def compare(cls, name: str, left: Fraction, right: Fraction) -> "IdentityReport":
-        residual = left - right
-        verdict = VERDICT_EQUAL if residual == 0 else VERDICT_RESIDUAL
-        return cls(name, left, right, residual, verdict)
+# Bit-exact comparison of two rationals; residual = left - right.
+IdentityReport = namedtuple("IdentityReport", "name left right residual verdict")
 
 
 def sqrt2_i61() -> tuple[Fraction, ...]:
@@ -97,9 +89,12 @@ def verify_decompositions() -> list[IdentityReport]:
     alt34 = (Fraction(1) - Fraction(33, 8 * 34)) + Fraction(1, 8 * 34 * 1393)
     simpler = Fraction(1) - Fraction(1, 8) + Fraction(1, 8 * 34)
     return [
-        IdentityReport.compare("s/d from I.58 with sqrt2 of I.61-62 vs quadrature I.59", inverse_ratio, v59),
-        IdentityReport.compare("s/d from I.58 vs the 34-based decomposition", inverse_ratio, alt34),
-        IdentityReport.compare("quadrature I.59 vs the simpler 8-and-34 rule", v59, simpler),
+        IdentityReport(name, left, right, left - right, VERDICT_EQUAL if left == right else VERDICT_RESIDUAL)
+        for name, left, right in (
+            ("s/d from I.58 with sqrt2 of I.61-62 vs quadrature I.59", inverse_ratio, v59),
+            ("s/d from I.58 vs the 34-based decomposition", inverse_ratio, alt34),
+            ("quadrature I.59 vs the simpler 8-and-34 rule", v59, simpler),
+        )
     ]
 
 

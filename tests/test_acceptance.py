@@ -15,10 +15,10 @@ from sulvageom.cyclic_geometry import (
     PYTHAGOREAN_PARAMS,
     RationalPoint,
     brahmagupta_radicand,
-    brahmagupta_theorem_check,
     crude_area,
     heart_cord,
     orthodiagonal_generator,
+    orthodiagonal_verdicts,
     point_from_param,
     rational_side_quads,
     rational_sides,
@@ -215,7 +215,7 @@ def test_criterion_10_orthogonality_criterion():
 def test_criterion_11_bisection_theorem():
     quads = orthodiagonal_generator(1, 100)
     for quad in quads:
-        assert brahmagupta_theorem_check(quad)
+        assert orthodiagonal_verdicts(quad) == (True, True)
     passed(11, "perpendicular through the diagonal crossing bisects all 4 opposite sides, 100 quads")
 
 

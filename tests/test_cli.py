@@ -427,8 +427,7 @@ def oracle_cmd_quad(args):
     items = []
     out = Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", data=items)
     for i, quad in enumerate(geom.orthodiagonal_generator(args.seed, args.count), start=1):
-        ortho = geom.segments_equal_portions(quad)
-        bisect = ortho and geom.brahmagupta_theorem_check(quad)
+        ortho, bisect = geom.orthodiagonal_verdicts(quad)
         items.append(
             {
                 "r": quad.r,

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from sulvageom import cyclic_geometry
 from sulvageom.cyclic_geometry import (
     DEMO_QUAD_LIMIT,
     CyclicQuad,
@@ -18,7 +19,6 @@ from sulvageom.cyclic_geometry import (
     PYTHAGOREAN_PARAMS,
     RationalPoint,
     brahmagupta_radicand,
-    brahmagupta_theorem_check,
     crude_area,
     diagonal_lengths_sq,
     heart_cord,
@@ -284,10 +284,7 @@ def assert_kernel_matches_oracle(quad):
     ortho = oracle_segments_equal_portions(quad)
     assert segments_equal_portions(quad) == ortho
     if ortho:
-        assert brahmagupta_theorem_check(quad) == all(nu == Fraction(1, 2) for nu in oracle_bisection_nus(quad))
-    else:
-        with pytest.raises(ValueError, match="diagonals are not perpendicular"):
-            brahmagupta_theorem_check(quad)
+        assert orthodiagonal_verdicts(quad)[1] == all(nu == Fraction(1, 2) for nu in oracle_bisection_nus(quad))
     assert shoelace_area(quad) == oracle_shoelace(quad)
     assert diagonal_lengths_sq(quad) == oracle_diagonals(quad)
     assert_same_outcome(rational_sides, oracle_sides, quad)
@@ -740,23 +737,22 @@ class TestSegmentsAndPortions:
 
 class TestBisectionTheorem:
     def test_square(self):
-        assert brahmagupta_theorem_check(UNIT_SQUARE)
+        assert orthodiagonal_verdicts(UNIT_SQUARE) == (True, True)
 
     def test_kite_midpoint_witness(self):
         # perpendicular from (7/25, 0) to side AB meets CD at its midpoint
         c, d = KITE.vertices[2], KITE.vertices[3]
         midpoint = pt((-9, 25), (-12, 25))
         assert RationalPoint((c.x + d.x) / 2, (c.y + d.y) / 2) == midpoint
-        assert brahmagupta_theorem_check(KITE)
+        assert orthodiagonal_verdicts(KITE) == (True, True)
 
     def test_precondition(self):
         quad = triquadrilateral(rat(0), rat(1, 3), rat(5, 2), rat(-2), rat(1))
-        with pytest.raises(ValueError, match="diagonals are not perpendicular"):
-            brahmagupta_theorem_check(quad)
+        assert orthodiagonal_verdicts(quad) == (False, False)
 
     def test_generated_instances(self):
         for quad in orthodiagonal_generator(2, 25):
-            assert brahmagupta_theorem_check(quad)
+            assert orthodiagonal_verdicts(quad) == (True, True)
 
 
 class TestOrthodiagonalVerdicts:
@@ -792,7 +788,6 @@ class TestOrthodiagonalVerdicts:
         assert diagonals_perpendicular(quad)
         assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad) == (True, False)
         assert segments_equal_portions(quad) is True
-        assert brahmagupta_theorem_check(quad) is False
 
 
 class TestHalfOblong:
@@ -955,6 +950,13 @@ class TestRationalSideQuads:
         # 61 parameters: the table and its negations, with 0 once.
         with pytest.raises(ValueError, match="count 521856 exceeds the 521855 quads"):
             rational_side_quads(math.comb(61, 4) + 1)
+
+    def test_count_at_the_limit(self, monkeypatch):
+        # 7 parameters: 0, +-3/4, +-4/3 and +-5/12 make C(7, 4) = 35 quads.
+        monkeypatch.setattr(cyclic_geometry, "PYTHAGOREAN_PARAMS", PYTHAGOREAN_PARAMS[:4])
+        assert len(rational_side_quads(35)) == 35
+        with pytest.raises(ValueError, match="count 36 exceeds the 35 quads"):
+            rational_side_quads(36)
 
     def test_irrational_chord_refused(self):
         with pytest.raises(NotRealizable):

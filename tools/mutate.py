@@ -56,6 +56,8 @@ def sites(node: ast.AST) -> list[tuple[str, object]]:
     if isinstance(node, ast.If):
         return [("negate if", ast.UnaryOp(ast.Not(), node.test))]
     if isinstance(node, ast.Return) and node.value is not None:
+        if isinstance(node.value, ast.Constant) and node.value.value is None:
+            return []  # `return None` already is the mutant
         return [("return -> return None", ast.Return(None))]
     return []
 
