@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import cyclic_geometry as geom
@@ -23,14 +24,8 @@ from .exact_numbers import rat, sqrt_exact, to_decimal, to_fraction_text
 Row = tuple[str, object]
 
 
-class Report:
-    """A titled list of sections of rows; data, if given, replaces both in the JSON format."""
-
-    def __init__(self, title: str, data: object = None) -> None:
-        self.title, self.sections, self.data = title, [], data
-
-    def add(self, heading: str, rows: list[Row]) -> None:
-        self.sections.append((heading, rows))
+# A title and a list of (heading, rows) sections; data, if given, replaces both in the JSON format.
+Report = namedtuple("Report", "title sections data", defaults=(None,))
 
 
 # Title, heading and row prefixes of the two human-readable formats.
@@ -70,17 +65,13 @@ def render_report(report: Report, fmt: str, precision: int) -> str:
 def _cmd_sqrt2(args: argparse.Namespace) -> Report:
     terms = rules.sqrt2_i61()
     value = sum(terms)
-    report = Report("Diagonal rule I.61-62")
-    report.add(
-        "value",
-        [
-            ("terms", " + ".join(to_fraction_text(t) for t in terms)),
-            ("value", value),
-            ("decimal", to_decimal(value, args.precision)),
-            ("square minus 2", value * value - 2),
-        ],
-    )
-    return report
+    rows: list[Row] = [
+        ("terms", " + ".join(to_fraction_text(t) for t in terms)),
+        ("value", value),
+        ("decimal", to_decimal(value, args.precision)),
+        ("square minus 2", value * value - 2),
+    ]
+    return Report("Diagonal rule I.61-62", [("value", rows)])
 
 
 # The quadrature rules that `pi` evaluates, by command-line name.
@@ -97,25 +88,20 @@ def _cmd_pi(args: argparse.Namespace) -> Report:
     rows: list[Row] = [("side over diameter", ratio), ("implied circle constant", value)]
     rows.append(("decimal", to_decimal(value, args.precision)))
     rows.append(("error vs 50-digit pi literal", to_decimal(rules.pi_reference() - value, args.precision)))
-    report = Report(f"Circle constant implied by rule {args.rule}")
-    report.add("result", rows)
-    return report
+    return Report(f"Circle constant implied by rule {args.rule}", [("result", rows)])
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
     reports = rules.verify_decompositions()
-    out = Report("Exact identity checks", data=[r._asdict() for r in reports])
-    for r in reports:
-        out.add(r.name, [("left", r.left), ("right", r.right), ("residual", r.residual), ("verdict", r.verdict)])
-    return out
+    sections = [(r.name, [(key, getattr(r, key)) for key in ("left", "right", "residual", "verdict")]) for r in reports]
+    return Report("Exact identity checks", sections, [r._asdict() for r in reports])
 
 
 def _cmd_derive(args: argparse.Namespace) -> Report:
     trace = scale.derive_i59_trace()
     removal = scale.removal_form(trace[-1].after)
     final = (trace[-1].after.p, trace[-1].after.q)
-    steps = []
-    out = Report("Reconstruction of quadrature rule I.59", data={"steps": steps, "final": final, "removal": removal})
+    steps, sections = [], []
     for i, step in enumerate(trace, start=1):
         entry = {
             "description": step.description,
@@ -126,15 +112,10 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
         steps.append(entry)
         rows: list[Row] = [(key, value) for key, value in entry.items() if value is not None]
         rows.insert(-1, ("ratio", scale.as_ratio(step.after)))
-        out.add(f"step {i}", rows)
-    out.add(
-        "result",
-        [
-            ("final", final),
-            ("removal form", f"divide into {removal[0]} parts, remove {removal[1]}"),
-        ],
-    )
-    return out
+        sections.append((f"step {i}", rows))
+    result = [("final", final), ("removal form", f"divide into {removal[0]} parts, remove {removal[1]}")]
+    data = {"steps": steps, "final": final, "removal": removal}
+    return Report("Reconstruction of quadrature rule I.59", [*sections, ("result", result)], data)
 
 
 def _cmd_area(args: argparse.Namespace) -> Report:
@@ -147,25 +128,22 @@ def _cmd_area(args: argparse.Namespace) -> Report:
         rows.append(("area", f"irrational; squared area is {to_fraction_text(radicand)}"))
     if any(side == 0 for side in (args.a, args.b, args.c, args.d)):
         rows.append(("note", "degenerate vanishing side: a triangle read, with no textual warrant"))
-    report = Report("Cyclic quadrilateral area")
-    report.add("result", rows)
-    return report
+    return Report("Cyclic quadrilateral area", [("result", rows)])
 
 
 def _cmd_crude(args: argparse.Namespace) -> Report:
-    report = Report("Crude area (order-sensitive)")
-    report.add("result", [("value", geom.crude_area(args.a, args.b, args.c, args.d))])
-    return report
+    rows: list[Row] = [("value", geom.crude_area(args.a, args.b, args.c, args.d))]
+    return Report("Crude area (order-sensitive)", [("result", rows)])
 
 
 def _cmd_quad(args: argparse.Namespace) -> Report:
-    items = []
-    out = Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", data=items)
+    items, sections = [], []
     as_json = args.format == "json"
     for i, quad in enumerate(geom.orthodiagonal_generator(args.seed, args.count), start=1):
         ortho, bisect = geom.orthodiagonal_verdicts(quad)
-        verdicts: list[Row] = [("segments equal portions", ortho), ("bisection theorem", bisect)]
+        rows: list[Row] = [("segments equal portions", ortho), ("bisection theorem", bisect)]
         if as_json:
+            # JSON prints only the items; cli_main still reads the exit status off these verdict rows.
             items.append(
                 {
                     "r": to_fraction_text(quad.r),
@@ -174,20 +152,16 @@ def _cmd_quad(args: argparse.Namespace) -> Report:
                     "bisection_theorem": bisect,
                 }
             )
-            # JSON prints only the items; cli_main still reads the exit status off these verdict rows.
-            out.add(f"quad {i}", verdicts)
         else:
             d1, d2 = geom.diagonal_lengths_sq(quad)
-            out.add(
-                f"quad {i}",
-                [
-                    ("vertices", "; ".join(f"({v.x}, {v.y})" for v in quad.vertices)),
-                    ("area", geom.shoelace_area(quad)),
-                    ("diagonals squared", f"{d1}, {d2}"),
-                    *verdicts,
-                ],
-            )
-    return out
+            rows = [
+                ("vertices", "; ".join(f"({v.x}, {v.y})" for v in quad.vertices)),
+                ("area", geom.shoelace_area(quad)),
+                ("diagonals squared", f"{d1}, {d2}"),
+                *rows,
+            ]
+        sections.append((f"quad {i}", rows))
+    return Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", sections, items)
 
 
 # Text labels of the half-oblong verdicts, keyed by their JSON names.
@@ -204,10 +178,11 @@ def _cmd_xii24(args: argparse.Namespace) -> Report:
     squares = ("a_sq", "b_sq", "gamma_sq", "alpha_sq", "beta_sq", "h_sq")
     quantities = {"lambda": result.lam} | {name: getattr(result, name) for name in squares}
     verdicts = {name: getattr(result, name) for name in _XII24_VERDICTS}
-    out = Report(f"Half-oblong check at t = {args.t}, u = {args.u}", data={**quantities, "verdicts": verdicts})
-    out.add("quantities", [(name.replace("_sq", "^2"), value) for name, value in quantities.items()])
-    out.add("verdicts", [(_XII24_VERDICTS[name], value) for name, value in verdicts.items()])
-    return out
+    sections = [
+        ("quantities", [(name.replace("_sq", "^2"), value) for name, value in quantities.items()]),
+        ("verdicts", [(_XII24_VERDICTS[name], value) for name, value in verdicts.items()]),
+    ]
+    return Report(f"Half-oblong check at t = {args.t}, u = {args.u}", sections, {**quantities, "verdicts": verdicts})
 
 
 def _int(text: str) -> int:
@@ -302,12 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("xii24", parents=[common], help="half-oblong derivation check on the unit circle")
-    # Read -3/5 as a negative parameter, as argparse already reads -3.
-    p._negative_number_matcher = re.compile(r"^-\d+(/-?\d+)?$")
     p.add_argument("t", type=_rational)
     p.add_argument("u", type=_rational)
     p.set_defaults(func=_cmd_xii24)
 
+    # No option starts with "-" and a digit, so a word such as -3/5, -1_000/3 or -.5 is a value, which its
+    # argument's type reads or refuses by name; argparse's own matcher would take -3/5 for an option.
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

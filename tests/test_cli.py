@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sulvageom
 from sulvageom import cyclic_geometry as geom
@@ -30,24 +30,21 @@ def run_cli(capsys, *argv):
 
 class TestRenderReport:
     def test_empty_report(self):
-        report = Report("Nothing to see")
+        report = Report("Nothing to see", [])
         assert render_report(report, "text", 12) == "Nothing to see"
 
     def test_json_round_trips_rationals(self):
-        report = Report("t")
-        report.add("s", [("v", rat(1224, 1393)), ("w", rat(-41, 15512448))])
+        report = Report("t", [("s", [("v", rat(1224, 1393)), ("w", rat(-41, 15512448))])])
         doc = json.loads(render_report(report, "json", 12))
         assert doc["sections"][0]["rows"] == [["v", "1224/1393"], ["w", "-41/15512448"]]
 
     def test_data_replaces_sections_in_json_only(self):
-        report = Report("t", data={"v": rat(1, 2), "ok": True})
-        report.add("s", [("w", rat(3, 4))])
+        report = Report("t", [("s", [("w", rat(3, 4))])], {"v": rat(1, 2), "ok": True})
         assert json.loads(render_report(report, "json", 12)) == {"v": "1/2", "ok": True}
         assert render_report(report, "text", precision=2) == "t\n\ns\n  w: 3/4 (~ 0.75)"
 
     def test_markdown_headings(self):
-        report = Report("Title")
-        report.add("Section", [("k", rat(1, 2))])
+        report = Report("Title", [("Section", [("k", rat(1, 2))])])
         text = render_report(report, "markdown", precision=3)
         assert text.startswith("# Title")
         assert "## Section" in text
@@ -150,12 +147,32 @@ class TestSubcommands:
             (["xii24", "-3/5", "7"], ["xii24", "--", "-3/5", "7"]),
             (["xii24", "3/4", "-7/2"], ["xii24", "3/4", "--", "-7/2"]),
             (["xii24", "-3/-5", "7"], ["xii24", "--", "-3/-5", "7"]),
+            (["xii24", "-1_000/3", "7"], ["xii24", "--", "-1_000/3", "7"]),
+            (["xii24", "-3/+5", "7"], ["xii24", "--", "-3/+5", "7"]),
+            (["xii24", "3/4", "-1_000"], ["xii24", "3/4", "--", "-1_000"]),
         ],
     )
     def test_xii24_negative_fractions(self, capsys, argv, dashed):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert run_cli(capsys, *dashed) == (0, out)
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["area", "-1/2", "2", "3", "4"], "argument a: expected a rational >= 0, got '-1/2'"),
+            (["crude", "1", "2", "3", "-3/4"], "argument d: expected a rational >= 0, got '-3/4'"),
+            (["area", "-1_000", "2", "3", "4"], "argument a: expected a rational >= 0, got '-1_000'"),
+            (["area", "-1", "2", "3", "4"], "argument a: expected a rational >= 0, got '-1'"),
+            (["area", "-.5", "2", "3", "4"], "argument a: expected a rational num/den, got '-.5'"),
+            (["quad", "demo", "--seed", "-1/2"], "argument --seed: expected an integer >= 1, got '-1/2'"),
+        ],
+    )
+    def test_negative_literal_reaches_its_type(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"sulvageom {argv[0]}: error: {error}"
 
 
 class TestExitCodes:
@@ -169,7 +186,7 @@ class TestExitCodes:
             cli_main(["area", "x", "1", "1", "1"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("literal", ["1/0", "x"])
+    @pytest.mark.parametrize("literal", ["1/0", "x", "-1/0", "-1/x"])
     def test_bad_rational_names_no_internal_function(self, capsys, literal):
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["xii24", literal, "1"])
@@ -311,6 +328,29 @@ def test_cli_boundary_exits_0_1_or_2(argv):
         assert ": false" in out or err.startswith("not realizable: ")
 
 
+def run_cli_code(argv):
+    """cli_main's exit status and stdout, with argparse's SystemExit read as the status."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(literal=_literals.filter(lambda text: text[:1].isdigit()))
+@example(literal="1_000/3")
+@example(literal="3/+5")
+def test_negative_literal_reads_as_after_a_double_dash(literal):
+    try:
+        _rational(literal)
+    except argparse.ArgumentTypeError:
+        assume(False)
+    assert run_cli_code(["xii24", f"-{literal}", "7"]) == run_cli_code(["xii24", "--", f"-{literal}", "7"])
+
+
 def oracle_parse_rational(text):
     """The literal parser that cli._rational replaced, kept as its oracle."""
     parts = text.strip().split("/")
@@ -424,8 +464,7 @@ class TestDeterminism:
 def oracle_cmd_quad(args):
     """The quad demo as it ran when it built every format's rows and items,
     whichever format was asked for, kept as its oracle."""
-    items = []
-    out = Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", data=items)
+    items, sections = [], []
     for i, quad in enumerate(geom.orthodiagonal_generator(args.seed, args.count), start=1):
         ortho, bisect = geom.orthodiagonal_verdicts(quad)
         items.append(
@@ -437,17 +476,15 @@ def oracle_cmd_quad(args):
             }
         )
         d1, d2 = geom.diagonal_lengths_sq(quad)
-        out.add(
-            f"quad {i}",
-            [
-                ("vertices", "; ".join(f"({v.x}, {v.y})" for v in quad.vertices)),
-                ("area", geom.shoelace_area(quad)),
-                ("diagonals squared", f"{d1}, {d2}"),
-                ("segments equal portions", ortho),
-                ("bisection theorem", bisect),
-            ],
-        )
-    return out
+        rows = [
+            ("vertices", "; ".join(f"({v.x}, {v.y})" for v in quad.vertices)),
+            ("area", geom.shoelace_area(quad)),
+            ("diagonals squared", f"{d1}, {d2}"),
+            ("segments equal portions", ortho),
+            ("bisection theorem", bisect),
+        ]
+        sections.append((f"quad {i}", rows))
+    return Report(f"Orthodiagonal demo (seed {args.seed}, count {args.count})", sections, items)
 
 
 def exit_status(report):

@@ -1,9 +1,9 @@
-"""Mutation audit: change a module under src/ one small step at a time and
+"""Mutation audit: change modules under src/ one small step at a time and
 report each change that no test notices.
 
 Run from the repository root, outside the tier-1 suite, since it takes minutes:
 
-    python tools/mutate.py src/sulvageom/cyclic_geometry.py
+    python tools/mutate.py src/sulvageom/*.py --jobs 2
     python tools/mutate.py src/sulvageom/cyclic_geometry.py --function orthodiagonal_verdicts --jobs 2
 
 A mutant is the module with one AST node changed: a comparison swapped
@@ -11,10 +11,11 @@ A mutant is the module with one AST node changed: a comparison swapped
 * and //, `and` and `or`, an integer constant plus one, `raise` made `pass`,
 a `not` or a unary minus dropped, an `if` test negated, or `return x` made
 `return None`. Each worker copies the repository (without .git) to a
-temporary directory once; there the mutant replaces the module and the tests
-run as `python -m pytest -x -q tests`, with src on PYTHONPATH. A mutant is
-killed when the tests fail or run past TIMEOUT_S seconds. Survivors are
-printed with their line, and the exit status is 1 if any survive. Standard
+temporary directory once, for all the modules; there the mutant replaces its
+module for one run of `python -m pytest -x -q tests`, with src on PYTHONPATH.
+A mutant is killed when the tests fail or run past TIMEOUT_S seconds.
+Survivors are printed with their module path and line, then each module's
+count of killed mutants; the exit status is 1 if any survive. Standard
 library only; the tests themselves need pytest and hypothesis.
 """
 
@@ -64,12 +65,12 @@ def sites(node: ast.AST) -> list[tuple[str, object]]:
 
 def mutants(source: str, function: str | None) -> list[tuple[int, int, str]]:
     """Every (node index in ast.walk order, site index, description) of the
-    module, or of the named function only, docstrings left out."""
+    module, or only inside the functions of that name, docstrings left out."""
     tree = ast.parse(source)
-    scope = tree
+    scopes = [tree]
     if function:
-        scope = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function)
-    inside = {id(n) for n in ast.walk(scope)}
+        scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
+    inside = {id(n) for scope in scopes for n in ast.walk(scope)}
     found = []
     for k, node in enumerate(ast.walk(tree)):
         if id(node) in inside:
@@ -100,24 +101,25 @@ def apply(source: str, k: int, j: int) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("module", help="path of the module to mutate, under src/")
+    parser.add_argument("module", nargs="+", help="paths of the modules to mutate, under src/")
     parser.add_argument("--function", help="mutate only inside this function")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
     root = Path.cwd().resolve()
-    module = Path(args.module).resolve().relative_to(root)  # relative, so mutants go to the copies
-    source = module.read_text()
-    found = mutants(source, args.function)
+    modules = [Path(m).resolve().relative_to(root) for m in args.module]  # relative, so mutants go to the copies
+    sources = {module: module.read_text() for module in modules}
+    found = [(module, *site) for module in modules for site in mutants(sources[module], args.function)]
     trees: queue.Queue[Path] = queue.Queue()
     scratch = Path(tempfile.mkdtemp(prefix="mutate-"))
     for i in range(args.jobs):
         shutil.copytree(root, scratch / str(i), ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
         trees.put(scratch / str(i))
 
-    def run(site: tuple[int, int, str]) -> tuple[str, bool]:
+    def run(site: tuple[Path, int, int, str]) -> bool:
+        module, k, j, _ = site
         tree = trees.get()
         try:
-            (tree / module).write_text(apply(source, site[0], site[1]))
+            (tree / module).write_text(apply(sources[module], k, j))
             env = dict(os.environ, PYTHONPATH=str(tree / "src"))
             command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
             try:
@@ -125,20 +127,23 @@ def main() -> int:
                 killed = done.returncode != 0
             except subprocess.TimeoutExpired:
                 killed = True
-            return site[2], killed
+            return killed
         finally:
+            (tree / module).write_text(sources[module])  # the next mutant may be in another module
             trees.put(tree)
 
     survivors = []
     try:
         with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-            for text, killed in pool.map(run, found):
+            for (module, _, _, text), killed in zip(found, pool.map(run, found)):
                 if not killed:
                     print(f"survived: {module}, {text}", flush=True)
-                    survivors.append(text)
+                    survivors.append(module)
     finally:
         shutil.rmtree(scratch)
-    print(f"{len(found) - len(survivors)} of {len(found)} mutants killed")
+    for module in modules:
+        total = sum(site[0] == module for site in found)
+        print(f"{module}: {total - survivors.count(module)} of {total} mutants killed")
     return 1 if survivors else 0
 
 
