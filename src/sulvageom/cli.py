@@ -238,53 +238,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sulvageom",
         description="Exact rational evaluation of the circle-square rules and cyclic quadrilateral propositions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "markdown", "json"), default="text")
-    precision = functools.partial(_positive_int, limit=MAX_PRECISION)
-    common.add_argument("--precision", type=precision, default=12, help="decimal digits in annotations")
-
     sub = parser.add_subparsers(dest="command", required=True)
+    precision = functools.partial(_positive_int, limit=MAX_PRECISION)
 
-    p = sub.add_parser("derive", parents=[common], help="replay a scripted rule derivation")
-    p.add_argument("rule", choices=("i59",))
-    p.set_defaults(func=_cmd_derive)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=("text", "markdown", "json"), default="text")
+        p.add_argument("--precision", type=precision, default=12, help="decimal digits in annotations")
+        # No option starts with "-" and a digit, so a word such as -3/5, -1_000/3 or -.5 is a value, which its
+        # argument's type reads or refuses by name; argparse's own matcher would take -3/5 for an option.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", parents=[common], help="run the exact identity checks")
-    p.add_argument("what", choices=("identities",))
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("sqrt2", parents=[common], help="evaluate the diagonal rule I.61-62")
-    p.set_defaults(func=_cmd_sqrt2)
-
-    p = sub.add_parser("pi", parents=[common], help="circle constant implied by a quadrature rule")
-    p.add_argument("rule", choices=_PI_RULES)
-    p.set_defaults(func=_cmd_pi)
-
-    p = sub.add_parser("area", parents=[common], help="exact cyclic quadrilateral area from four sides")
-    for name in "abcd":
-        p.add_argument(name, type=_nonnegative_rational)
-    p.set_defaults(func=_cmd_area)
-
-    p = sub.add_parser("crude", parents=[common], help="order-sensitive crude area estimate")
-    for name in "abcd":
-        p.add_argument(name, type=_nonnegative_rational)
-    p.set_defaults(func=_cmd_crude)
-
-    p = sub.add_parser("quad", parents=[common], help="orthodiagonal quad demo with theorem checks")
+    command("derive", _cmd_derive, "replay a scripted rule derivation").add_argument("rule", choices=("i59",))
+    command("verify", _cmd_verify, "run the exact identity checks").add_argument("what", choices=("identities",))
+    command("sqrt2", _cmd_sqrt2, "evaluate the diagonal rule I.61-62")
+    command("pi", _cmd_pi, "circle constant implied by a quadrature rule").add_argument("rule", choices=_PI_RULES)
+    for name, func, summary in [
+        ("area", _cmd_area, "exact cyclic quadrilateral area from four sides"),
+        ("crude", _cmd_crude, "order-sensitive crude area estimate"),
+    ]:
+        p = command(name, func, summary)
+        for side in "abcd":
+            p.add_argument(side, type=_nonnegative_rational)
+    p = command("quad", _cmd_quad, "orthodiagonal quad demo with theorem checks")
     p.add_argument("mode", choices=("demo",))
     p.add_argument("--seed", type=_positive_int, default=1)
     p.add_argument("--count", type=functools.partial(_positive_int, limit=geom.DEMO_QUAD_LIMIT), default=10)
-    p.set_defaults(func=_cmd_quad)
-
-    p = sub.add_parser("xii24", parents=[common], help="half-oblong derivation check on the unit circle")
+    p = command("xii24", _cmd_xii24, "half-oblong derivation check on the unit circle")
     p.add_argument("t", type=_rational)
     p.add_argument("u", type=_rational)
-    p.set_defaults(func=_cmd_xii24)
-
-    # No option starts with "-" and a digit, so a word such as -3/5, -1_000/3 or -.5 is a value, which its
-    # argument's type reads or refuses by name; argparse's own matcher would take -3/5 for an option.
-    for p in sub.choices.values():
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -306,7 +290,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         if sys.stdout is not None:
             # Point stdout at devnull, so that the flush at exit does not fail again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"sulvageom {args.command}: error: cannot write output: {exc}", file=sys.stderr)
         return 2
     # A verdict is a boolean row; exit 1 when any of them fails.

@@ -106,7 +106,7 @@ def _param_form(t: Fraction | int, r: Fraction | int) -> tuple[int, int, int]:
     2 r.numerator, so that small number leads the gcd and it stays cheap.
     An int has a numerator and a denominator too; any other type is refused."""
     _require_exact(t, r)
-    if r <= 0:
+    if r.numerator <= 0:
         raise ValueError(f"radius {r} must be positive")
     n, d = t.numerator, t.denominator
     x, y, big_d = r.numerator * (d * d - n * n), 2 * r.numerator * n * d, r.denominator * (d * d + n * n)
@@ -127,10 +127,9 @@ def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
 
 
 def shoelace_area(quad: CyclicQuad) -> Fraction:
-    """Exact positive area by the surveyor's formula over the vertex order."""
-    w, vs = quad.homogeneous
-    total = sum(vs[i][0] * vs[(i + 1) % 4][1] - vs[(i + 1) % 4][0] * vs[i][1] for i in range(4))
-    return Fraction(total, 2 * w * w)
+    """Exact positive area, half the diagonals' cross product (C - A) x (D - B): the surveyor's sum, factored."""
+    w, ((ax, ay), (bx, by), (cx, cy), (dx, dy)) = quad.homogeneous
+    return Fraction((cx - ax) * (dy - by) - (cy - ay) * (dx - bx), 2 * w * w)
 
 
 def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:

@@ -1,6 +1,8 @@
 import argparse
 import ast
 import contextlib
+import errno
+import functools
 import importlib
 import inspect
 import io
@@ -18,8 +20,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sulvageom
-from sulvageom import cyclic_geometry as geom
-from sulvageom.cli import MAX_PRECISION, Report, _rational, build_parser, cli_main, render_report
+from sulvageom import cli, cyclic_geometry as geom
+from sulvageom.cli import (
+    MAX_PRECISION,
+    Report,
+    _nonnegative_rational,
+    _positive_int,
+    _rational,
+    build_parser,
+    cli_main,
+    render_report,
+)
 from sulvageom.exact_numbers import rat, to_decimal
 
 
@@ -224,6 +235,37 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err
+
+    def test_unwritable_stdout_closes_the_devnull_descriptor(self, capsys, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        class BrokenStdout:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return write_end
+
+        real_open = os.open
+        read_end, write_end = os.pipe()
+        try:
+            monkeypatch.setattr(os, "open", recording_open)
+            monkeypatch.setattr(sys, "stdout", BrokenStdout())
+            code = cli_main(["sqrt2"])
+            monkeypatch.undo()
+            assert code == 2
+            error = f"sulvageom sqrt2: error: cannot write output: [Errno {errno.EPIPE}] Broken pipe\n"
+            assert capsys.readouterr().err == error
+            [fd] = opened
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
     def test_count_bound_is_the_demo_limit(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -522,6 +564,89 @@ class TestCachedParser:
         assert excinfo.value.code == 2
         capsys.readouterr()
         assert run_cli(capsys, *argv) == first == (0, golden.read_text())
+
+
+def _surface(parser):
+    """Each of parser's actions, in order, as (option strings or dest, default, choices, type, help)."""
+    rows = []
+    for action in parser._actions:
+        kind = action.type
+        if isinstance(kind, functools.partial):
+            kind = (kind.func, kind.args, kind.keywords)
+        choices = None if action.choices is None else tuple(action.choices)
+        rows.append((tuple(action.option_strings) or action.dest, action.default, choices, kind, action.help))
+    return rows
+
+
+SIDES = [(name, None, None, _nonnegative_rational, None) for name in "abcd"]
+PRECISION_TYPE = (_positive_int, (), {"limit": MAX_PRECISION})
+
+# Each subcommand: its handler, its summary in the top-level help, and its own arguments.
+SUBCOMMANDS = {
+    "derive": (cli._cmd_derive, "replay a scripted rule derivation", [("rule", None, ("i59",), None, None)]),
+    "verify": (cli._cmd_verify, "run the exact identity checks", [("what", None, ("identities",), None, None)]),
+    "sqrt2": (cli._cmd_sqrt2, "evaluate the diagonal rule I.61-62", []),
+    "pi": (
+        cli._cmd_pi,
+        "circle constant implied by a quadrature rule",
+        [("rule", None, ("i58", "i59", "i60"), None, None)],
+    ),
+    "area": (cli._cmd_area, "exact cyclic quadrilateral area from four sides", SIDES),
+    "crude": (cli._cmd_crude, "order-sensitive crude area estimate", SIDES),
+    "quad": (
+        cli._cmd_quad,
+        "orthodiagonal quad demo with theorem checks",
+        [
+            ("mode", None, ("demo",), None, None),
+            (("--seed",), 1, None, _positive_int, None),
+            (("--count",), 10, None, (_positive_int, (), {"limit": geom.DEMO_QUAD_LIMIT}), None),
+        ],
+    ),
+    "xii24": (
+        cli._cmd_xii24,
+        "half-oblong derivation check on the unit circle",
+        [("t", None, None, _rational, None), ("u", None, None, _rational, None)],
+    ),
+}
+
+
+class TestParserSurface:
+    """The parser's arguments, defaults, types and help texts, which its help and usage print."""
+
+    def _subparsers(self):
+        [sub] = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+        return sub
+
+    def test_top_level(self):
+        parser = build_parser()
+        assert parser.prog == "sulvageom"
+        assert parser.description.startswith("Exact rational evaluation of the circle-square rules")
+        sub = self._subparsers()
+        assert (sub.dest, sub.required) == ("command", True)
+        assert [(a.dest, a.help) for a in sub._choices_actions] == [(n, s) for n, (_, s, _) in SUBCOMMANDS.items()]
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand(self, name):
+        func, _, own = SUBCOMMANDS[name]
+        parser = self._subparsers().choices[name]
+        assert parser.prog == f"sulvageom {name}"
+        assert _surface(parser) == [
+            (("-h", "--help"), argparse.SUPPRESS, None, None, "show this help message and exit"),
+            (("--format",), "text", ("text", "markdown", "json"), None, None),
+            (("--precision",), 12, None, PRECISION_TYPE, "decimal digits in annotations"),
+            *own,
+        ]
+        assert parser.get_default("func") is func
+        assert parser._negative_number_matcher.pattern == r"^-\.?\d"
+
+    @pytest.mark.parametrize("name", ["", *SUBCOMMANDS])
+    def test_help_exits_0(self, capsys, name):
+        argv = [name, "-h"] if name else ["-h"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: sulvageom {name} [-h] [--format" if name else "usage: sulvageom [-h] {derive,")
 
 
 ROOT = Path(__file__).resolve().parents[1]
