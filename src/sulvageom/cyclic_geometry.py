@@ -40,8 +40,8 @@ def _dist_sq(p: tuple[int, int], q: tuple[int, int]) -> int:
 class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
     """Four pairwise distinct points on the circle x^2 + y^2 = r^2, r > 0, in
     one strictly counterclockwise sweep. Only this constructor checks that;
-    the predicates below rely on the convex quad it makes, whose area is
-    positive and whose diagonals cross.
+    the predicates below rely on the convex quad it makes: no three vertices
+    collinear, a positive area and diagonals that cross.
 
     ``homogeneous`` is the same quad over one integer denominator:
     ``(w, points)``, with w the least common denominator of r and the eight
@@ -193,22 +193,19 @@ def orthodiagonal_verdicts(quad: CyclicQuad) -> tuple[bool, bool]:
     form; (False, False) when the diagonals are not perpendicular.
 
     With u = C - A, v = D - B, e = B - A and det = u x v, the diagonals cross at
-    J = A + (n_ac/det) u = B + (n_bd/det) v, n_ac = e x v and n_bd = e x u. Each test
-    is homogeneous in these unreduced cuts, so det's sign does not matter. The feet of
-    the apexes on each diagonal sit at its cut: ((p - A).u) det == n_ac (u.u).
-    That is the source text's angle-free test of perpendicular diagonals. The
-    perpendicular to each side through J meets the opposite side r-s at its
-    midpoint: with det J an integer point, 2 ((det J - det r).side) == det ((s - r).side).
+    J = A + (n_ac/det) u, n_ac = e x v. Each test is homogeneous in this unreduced cut,
+    so det's sign does not matter. The foot of the apex B on A-C sits at the cut when
+    ((B - A).u) det == n_ac (u.u), the source text's angle-free test of perpendicular
+    diagonals. One foot decides: each apex's feet test is +-(u.v) times twice the area
+    of its triangle with its diagonal, never 0 on a circle (lemma: tests/test_proofs.py).
+    The perpendicular to each side through J meets the opposite side r-s at its midpoint:
+    with det J an integer point, 2 ((det J - det r).side) == det ((s - r).side).
     """
     _, (a, b, c, d) = quad.homogeneous
     (ax, ay), (bx, by) = a, b
     ux, uy, vx, vy, ex, ey = c[0] - ax, c[1] - ay, d[0] - bx, d[1] - by, bx - ax, by - ay
     det, n_ac = ux * vy - uy * vx, ex * vy - ey * vx
-    rhs = n_ac * (ux * ux + uy * uy)
-    if (ex * ux + ey * uy) * det != rhs or ((d[0] - ax) * ux + (d[1] - ay) * uy) * det != rhs:
-        return False, False
-    rhs = (ex * uy - ey * ux) * (vx * vx + vy * vy)
-    if -(ex * vx + ey * vy) * det != rhs or ((c[0] - bx) * vx + (c[1] - by) * vy) * det != rhs:
+    if (ex * ux + ey * uy) * det != n_ac * (ux * ux + uy * uy):
         return False, False
     jx, jy = det * ax + n_ac * ux, det * ay + n_ac * uy
     for p, q, r_, s in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):

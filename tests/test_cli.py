@@ -668,12 +668,13 @@ def test_python_dash_m_entry_point():
 
 def test_import_builds_neither_cache():
     # The parser and the demo's point grid are built on first use, so an
-    # import costs neither; nor does it load dataclasses or inspect.
+    # import costs neither; nor does it load dataclasses, inspect or the
+    # symbolic oracle sympy.
     proc = run_python(
         "-c",
         "import sys; from sulvageom import cli, cyclic_geometry as g; "
         "print(cli.build_parser.cache_info().currsize, g._demo_point.cache_info().currsize, "
-        "*sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        "*sorted({'dataclasses', 'inspect', 'sympy'} & set(sys.modules)))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [b"0", b"0"]
