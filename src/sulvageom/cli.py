@@ -87,7 +87,7 @@ def _cmd_pi(args: argparse.Namespace) -> Report:
     value = rules.implied_pi(ratio)
     rows: list[Row] = [("side over diameter", ratio), ("implied circle constant", value)]
     rows.append(("decimal", to_decimal(value, args.precision)))
-    rows.append(("error vs 50-digit pi literal", to_decimal(rules.pi_reference() - value, args.precision)))
+    rows.append(("error vs 50-digit pi literal", to_decimal(rules.PI_REFERENCE - value, args.precision)))
     return Report(f"Circle constant implied by rule {args.rule}", [("result", rows)])
 
 

@@ -15,6 +15,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from .exact_numbers import require_exact
+
 
 class DegenerateBase(ValueError):
     """A half-oblong apex on an end of its base diameter."""
@@ -25,12 +27,6 @@ class NotRealizable(ValueError):
 
 
 RationalPoint = namedtuple("RationalPoint", "x y")
-
-
-def _require_exact(*values: object) -> None:
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(f"{v!r} is neither an int nor a Fraction")
 
 
 def _dist_sq(p: tuple[int, int], q: tuple[int, int]) -> int:
@@ -56,7 +52,7 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
 
     def __new__(cls, r: Fraction | int, vertices: tuple[RationalPoint, ...]) -> CyclicQuad:
         vertices = tuple(vertices)
-        _require_exact(r, *itertools.chain(*vertices))
+        require_exact(r, *itertools.chain(*vertices))
         forms = []
         for x, y in vertices:
             big_d = math.lcm(x.denominator, y.denominator)
@@ -105,7 +101,7 @@ def _param_form(t: Fraction | int, r: Fraction | int) -> tuple[int, int, int]:
     D > 0 and gcd(X, Y, D) = 1. Before the division, gcd(X, Y) divides
     2 r.numerator, so that small number leads the gcd and it stays cheap.
     An int has a numerator and a denominator too; any other type is refused."""
-    _require_exact(t, r)
+    require_exact(t, r)
     if r.numerator <= 0:
         raise ValueError(f"radius {r} must be positive")
     n, d = t.numerator, t.denominator
@@ -140,7 +136,7 @@ def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> 
     case); there is no textual warrant for it in the source, and callers
     should flag it as such.
     """
-    _require_exact(a, b, c, d)
+    require_exact(a, b, c, d)
     # With the sides X/D over their lcm D > 0 and S = sum X, s - side = (S - 2X)/(2D).
     big_d = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
     xs = [side.numerator * (big_d // side.denominator) for side in (a, b, c, d)]
@@ -161,7 +157,7 @@ def brahmagupta_radicand(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> 
 def crude_area(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """The gross estimate ((a+c)/2)((b+d)/2); deliberately order-sensitive,
     unlike the true area of four consecutive chords."""
-    _require_exact(a, b, c, d)
+    require_exact(a, b, c, d)
     if any(side < 0 for side in (a, b, c, d)):
         raise NotRealizable("sides must be nonnegative")
     return Fraction((a + c) * (b + d), 4)
@@ -171,11 +167,13 @@ def heart_cord(a: Fraction, b: Fraction, h: Fraction) -> Fraction:
     """Circumradius of a triangle from two sides and the perpendicular
     dropped from their common vertex: R = a*b/(2h). Doubled, it is the
     diameter of the circle touching the corners of the completed figure."""
-    _require_exact(a, b, h)
+    require_exact(a, b, h)
     if h == 0:
         raise ValueError("perpendicular must be nonzero")
     if a <= 0 or b <= 0 or h < 0:
         raise ValueError("sides and perpendicular must be positive")
+    if h > min(a, b):
+        raise ValueError(f"perpendicular {h} exceeds the shorter side {min(a, b)}")
     return Fraction(a * b, h * 2)
 
 

@@ -1,5 +1,5 @@
-"""Exact rational arithmetic on fractions.Fraction: checked construction,
-exact square roots, and the fixed num/den and truncated decimal renderings.
+"""Exact rational arithmetic on fractions.Fraction: the int-or-Fraction check,
+checked construction, exact square roots, num/den and truncated decimal renderings.
 
 Everything here is integer arithmetic; no floats enter or leave.
 """
@@ -9,6 +9,13 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
+
+
+def require_exact(*values: object) -> None:
+    """Refuse with TypeError, in argument order, a value that is neither an int nor a Fraction."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{v!r} is neither an int nor a Fraction")
 
 
 def rat(n: int, d: int = 1) -> Fraction:

@@ -11,15 +11,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from .exact_numbers import require_exact
+
 # First 50 decimals of pi, truncated. Used only for reporting how far the
 # rules land from the circle constant; no rational equals pi.
-PI_DECIMAL_50 = "3.14159265358979323846264338327950288419716939937510"
-
-
-def pi_reference() -> Fraction:
-    """The 50-digit pi literal as an exact rational (a stand-in, not pi)."""
-    return Fraction(PI_DECIMAL_50)
-
+PI_REFERENCE = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 VERDICT_EQUAL = "exact-equal"
 VERDICT_RESIDUAL = "differs-by-residual"
@@ -39,9 +35,7 @@ def circulature_i58(s: Fraction, sqrt2: Fraction) -> Fraction:
     """Rule I.58: square of side s into a circle of radius
     r = s/2 + E/3, with E = (sqrt2 - 1) * s/2 the excess of the
     half-diagonal over the half-side."""
-    for v in (s, sqrt2):
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(f"{v!r} is neither an int nor a Fraction")
+    require_exact(s, sqrt2)
     if s <= 0:
         raise ValueError(f"side {s} must be positive")
     half = Fraction(s, 2)
@@ -61,16 +55,10 @@ def quadrature_ratio_i60() -> Fraction:
     return Fraction(1) - Fraction(2, 15)
 
 
-def diameter_over_side_i58(sqrt2: Fraction) -> Fraction:
-    """d/s implied by I.58 at unit side: 2r with r = circulature_i58(1),
-    i.e. (2 + sqrt2)/3 reduced."""
-    return circulature_i58(Fraction(1), sqrt2) * 2
-
-
 def quadrature_ratio_i58() -> Fraction:
     """Rule I.58 inverted as a side-over-diameter ratio, at the I.61-62
-    diagonal value: 1224/1393."""
-    return 1 / diameter_over_side_i58(sum(sqrt2_i61()))
+    diagonal value: 1224/1393. The diameter at unit side is 2r, (2 + sqrt2)/3."""
+    return 1 / (2 * circulature_i58(1, sum(sqrt2_i61())))
 
 
 def verify_decompositions() -> list[IdentityReport]:
@@ -105,8 +93,7 @@ def implied_pi(side_over_diameter: Fraction) -> Fraction:
     An anachronism kept as the standard accuracy metric; the source rules
     never speak of pi.
     """
-    if not isinstance(side_over_diameter, (int, Fraction)):
-        raise TypeError(f"{side_over_diameter!r} is neither an int nor a Fraction")
+    require_exact(side_over_diameter)
     if not 0 < side_over_diameter < 1:
         raise ValueError(f"ratio {side_over_diameter} must be in (0, 1)")
     return side_over_diameter * side_over_diameter * 4

@@ -29,8 +29,9 @@ from sulvageom.cyclic_geometry import (
 from sulvageom.exact_numbers import rat, sqrt_exact, to_decimal
 from sulvageom.scale_calculus import as_ratio, derive_i59_trace, removal_form
 from sulvageom.sulva_rules import (
+    PI_REFERENCE,
     VERDICT_EQUAL,
-    diameter_over_side_i58,
+    circulature_i58,
     implied_pi,
     quadrature_ratio_i59,
     quadrature_ratio_i60,
@@ -55,7 +56,7 @@ def test_criterion_01_sqrt2_rule():
 
 
 def test_criterion_02_substitution():
-    d_over_s = diameter_over_side_i58(rat(577, 408))
+    d_over_s = 2 * circulature_i58(1, rat(577, 408))
     assert d_over_s == rat(1393, 1224)
     assert rat(1) / d_over_s == rat(1224, 1393)
     passed(2, "I.58 substitution gives d/s = 1393/1224 and s/d = 1224/1393")
@@ -102,9 +103,7 @@ def test_criterion_06_crude_rule_and_implied_pi():
     assert to_decimal(pi59, 4) == "3.0883"
     # reported error against the stored 50-digit pi literal must agree with
     # an independent high-precision computation to 10 decimal digits
-    from sulvageom.sulva_rules import pi_reference
-
-    error = pi_reference() - pi59
+    error = PI_REFERENCE - pi59
     mpmath.mp.dps = 60
     independent = mpmath.pi - mpmath.mpf(pi59.numerator) / mpmath.mpf(pi59.denominator)
     assert (error.numerator * 10**10) // error.denominator == int(mpmath.floor(independent * 10**10))

@@ -31,7 +31,7 @@ from sulvageom.cli import (
     cli_main,
     render_report,
 )
-from sulvageom.exact_numbers import rat, to_decimal
+from sulvageom.exact_numbers import rat, to_decimal, to_fraction_text
 
 
 def run_cli(capsys, *argv):
@@ -546,6 +546,9 @@ def test_quad_demo_matches_the_oracle(seed, count):
         assert exit_status(report) == exit_status(expected) == 0
         for precision in (4, 12, 30):
             assert render_report(report, fmt, precision) == render_report(expected, fmt, precision)
+    # Each rational in JSON is its reduced num/den: "0/2" reads as the same Fraction as "0/1".
+    texts = [t for quad in json.loads(render_report(report, "json", 4)) for t in (quad["r"], *sum(quad["vertices"], []))]
+    assert all(t == to_fraction_text(Fraction(t)) for t in texts)
 
 
 class TestCachedParser:

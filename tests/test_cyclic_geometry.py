@@ -119,56 +119,10 @@ def oracle_bisection_nus(quad):
     return nus
 
 
-# -- Oracle: the reduced-cut predicates that orthodiagonal_verdicts replaced --
-
-
-def oracle_reduced_cut_params(quad):
-    """The parameters (mu_ac, mu_bd) of the point J where the diagonals cross,
-    as reduced Fractions: J = A + mu_ac (C - A) = B + mu_bd (D - B)."""
-    _, ((ax, ay), (bx, by), (cx, cy), (dx, dy)) = quad.homogeneous
-    ux, uy = cx - ax, cy - ay
-    vx, vy = dx - bx, dy - by
-    ex, ey = bx - ax, by - ay
-    det = ux * vy - uy * vx
-    return Fraction(ex * vy - ey * vx, det), Fraction(ex * uy - ey * ux, det)
-
-
-def oracle_feet_at(o, e, p, q, mu):
-    """Whether the perpendicular feet of the apexes p and q on base o-e both sit
-    at o + mu (e - o). The foot of p is at lam = ((p - o).base) / (base.base), so
-    with mu = n/m the test is ((p - o).base) m == n (base.base)."""
-    bx, by = e[0] - o[0], e[1] - o[1]
-    m, rhs = mu.denominator, mu.numerator * (bx * bx + by * by)
-    return (((p[0] - o[0]) * bx + (p[1] - o[1]) * by) * m == rhs
-            and ((q[0] - o[0]) * bx + (q[1] - o[1]) * by) * m == rhs)
-
-
-def oracle_reduced_segments_equal_portions(quad):
-    _, (a, b, c, d) = quad.homogeneous
-    mu_ac, mu_bd = oracle_reduced_cut_params(quad)
-    return oracle_feet_at(a, c, b, d, mu_ac) and oracle_feet_at(b, d, a, c, mu_bd)
-
-
-def oracle_reduced_theorem_check(quad):
-    if not oracle_reduced_segments_equal_portions(quad):
-        raise ValueError("diagonals are not perpendicular")
-    _, (a, b, c, d) = quad.homogeneous
-    mu_ac, _ = oracle_reduced_cut_params(quad)
-    n, m = mu_ac.numerator, mu_ac.denominator
-    # m J = m A + n (C - A), an integer point.
-    jx, jy = m * a[0] + n * (c[0] - a[0]), m * a[1] + n * (c[1] - a[1])
-    for p, q, r_, s in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c)):
-        sx, sy = q[0] - p[0], q[1] - p[1]
-        denom = (s[0] - r_[0]) * sx + (s[1] - r_[1]) * sy
-        if 2 * ((jx - m * r_[0]) * sx + (jy - m * r_[1]) * sy) != m * denom:
-            return False
-    return True
-
-
-def oracle_reduced_verdicts(quad):
-    """The quad demo's two verdicts as it decided them on the reduced cuts."""
-    ortho = oracle_reduced_segments_equal_portions(quad)
-    return ortho, ortho and oracle_reduced_theorem_check(quad)
+def oracle_verdicts(quad):
+    """The quad demo's two verdicts, (segments equal portions, bisection theorem), from the formulas above."""
+    ortho = oracle_segments_equal_portions(quad)
+    return ortho, ortho and all(nu == Fraction(1, 2) for nu in oracle_bisection_nus(quad))
 
 
 def oracle_shoelace(quad):
@@ -280,11 +234,8 @@ def assert_least_form_of(form, point):
 
 
 def assert_kernel_matches_oracle(quad):
-    assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad)
-    ortho = oracle_segments_equal_portions(quad)
-    assert segments_equal_portions(quad) == ortho
-    if ortho:
-        assert orthodiagonal_verdicts(quad)[1] == all(nu == Fraction(1, 2) for nu in oracle_bisection_nus(quad))
+    assert orthodiagonal_verdicts(quad) == oracle_verdicts(quad)
+    assert segments_equal_portions(quad) == oracle_verdicts(quad)[0]
     assert shoelace_area(quad) == oracle_shoelace(quad)
     assert diagonal_lengths_sq(quad) == oracle_diagonals(quad)
     assert_same_outcome(rational_sides, oracle_sides, quad)
@@ -575,7 +526,7 @@ class TestExactTypes:
     @pytest.mark.parametrize("kind", [int, Fraction], ids=["int", "fraction"])
     def test_crude_area_and_heart_cord_give_fractions(self, kind):
         for value, expected in ((crude_area(*map(kind, (1, 2, 3, 4))), Fraction(6)),
-                                (heart_cord(*map(kind, (3, 4, 5))), Fraction(6, 5))):
+                                (heart_cord(*map(kind, (5, 5, 3))), Fraction(25, 6))):
             assert type(value) is Fraction and value == expected
 
     def test_quad_keeps_the_radius_type(self):
@@ -695,6 +646,16 @@ class TestHeartCord:
         with pytest.raises(ValueError, match="must be positive"):
             heart_cord(rat(a), rat(b), rat(1))
 
+    @pytest.mark.parametrize("a, b", [(3, 4), (4, 3)])
+    def test_perpendicular_as_long_as_the_shorter_side(self, a, b):
+        # The shorter side is the perpendicular: a right angle at its foot, the longer side the diameter.
+        assert heart_cord(a, b, 3) == 2
+
+    @pytest.mark.parametrize("a, b, h", [(3, 4, rat(3001, 1000)), (4, 3, rat(3001, 1000)), (3, 4, 5), (1, 1, 2)])
+    def test_perpendicular_longer_than_a_side_rejected(self, a, b, h):
+        with pytest.raises(ValueError, match=f"^perpendicular {h} exceeds the shorter side {min(a, b)}$"):
+            heart_cord(a, b, h)
+
 
 class TestTriquadrilateral:
     def test_rotated_square(self):
@@ -756,18 +717,18 @@ class TestBisectionTheorem:
 
 
 class TestOrthodiagonalVerdicts:
-    """One integer pass against the reduced-cut predicates it replaced."""
+    """One integer pass against the Fraction formulas of the two verdicts."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_whole_demo_space(self, seed):
         for quad in orthodiagonal_generator(seed, DEMO_QUAD_LIMIT):
-            assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad) == (True, True)
+            assert orthodiagonal_verdicts(quad) == oracle_verdicts(quad) == (True, True)
 
     def test_rational_side_quads(self):
         verdicts = []
         for quad in rational_side_quads(3000):
             verdicts.append(orthodiagonal_verdicts(quad))
-            assert verdicts[-1] == oracle_reduced_verdicts(quad)
+            assert verdicts[-1] == oracle_verdicts(quad)
         assert set(verdicts) == {(False, False), (True, True)}
 
     @settings(deadline=None)
@@ -775,7 +736,7 @@ class TestOrthodiagonalVerdicts:
     def test_random_triquadrilaterals(self, inputs):
         ts, r, ortho = inputs
         quad = triquadrilateral(*ts, r)
-        assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad)
+        assert orthodiagonal_verdicts(quad) == oracle_verdicts(quad)
         assert orthodiagonal_verdicts(quad)[0] == diagonals_perpendicular(quad)
         if ortho:
             assert orthodiagonal_verdicts(quad) == (True, True)
@@ -786,7 +747,7 @@ class TestOrthodiagonalVerdicts:
         # side through the cut halves the opposite side.
         quad = unchecked_quad(((2, 0), (0, 3), (-2, 0), (0, -1)))
         assert diagonals_perpendicular(quad)
-        assert orthodiagonal_verdicts(quad) == oracle_reduced_verdicts(quad) == (True, False)
+        assert orthodiagonal_verdicts(quad) == oracle_verdicts(quad) == (True, False)
         assert segments_equal_portions(quad) is True
 
 

@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 
 from sulvageom.exact_numbers import rat, to_decimal
 from sulvageom.sulva_rules import (
+    PI_REFERENCE,
     VERDICT_EQUAL,
     VERDICT_RESIDUAL,
     circulature_i58,
-    diameter_over_side_i58,
     implied_pi,
-    pi_reference,
     quadrature_ratio_i58,
     quadrature_ratio_i59,
     quadrature_ratio_i60,
@@ -90,14 +89,16 @@ class TestQuadratureRatios:
 
 
 class TestDiameterOverSide:
+    """Rule I.58's diameter at unit side, 2r with r = circulature_i58(1, sqrt2)."""
+
     def test_reference(self):
-        assert diameter_over_side_i58(rat(577, 408)) == rat(1393, 1224)
+        assert 2 * circulature_i58(1, rat(577, 408)) == rat(1393, 1224)
 
     def test_three_halves(self):
-        assert diameter_over_side_i58(rat(3, 2)) == rat(7, 6)
+        assert 2 * circulature_i58(1, rat(3, 2)) == rat(7, 6)
 
     def test_inverse(self):
-        d_over_s = diameter_over_side_i58(rat(577, 408))
+        d_over_s = 2 * circulature_i58(1, rat(577, 408))
         assert rat(1) / d_over_s == rat(1224, 1393)
         assert d_over_s * (rat(1) / d_over_s) == rat(1)
 
@@ -159,24 +160,24 @@ class TestImpliedPi:
 
 
 def test_pi_reference_digits():
-    ref = pi_reference()
+    ref = PI_REFERENCE
     assert ref.denominator * 314159265358979323846264338327950288419716939937510 == ref.numerator * 10**50
     assert to_decimal(ref, 10) == "3.1415926535"
 
 
 def test_public_values_are_fractions():
-    # The golden files render only some of these; circulature_i58 and
-    # diameter_over_side_i58 are reached from the library alone.
+    # The golden files render only some of these; circulature_i58 is
+    # reached from the library alone.
     sqrt2 = sum(sqrt2_i61())
     values = [
         *sqrt2_i61(),
         circulature_i58(Fraction(1), sqrt2),
-        diameter_over_side_i58(sqrt2),
+        2 * circulature_i58(1, sqrt2),
         quadrature_ratio_i58(),
         quadrature_ratio_i59(),
         quadrature_ratio_i60(),
         implied_pi(quadrature_ratio_i59()),
-        pi_reference(),
+        PI_REFERENCE,
     ]
     for report in verify_decompositions():
         values += [report.left, report.right, report.residual]
@@ -189,7 +190,8 @@ def test_circulature_of_an_int_side_is_a_fraction(kind):
     assert type(value) is Fraction and value == Fraction(1393, 2448)
 
 
-@pytest.mark.parametrize("s, sqrt2, bad", [(1.0, Fraction(577, 408), 1.0), (1, 1.5, 1.5)], ids=["side", "sqrt2"])
+@pytest.mark.parametrize("s, sqrt2, bad", [(1.0, Fraction(577, 408), 1.0), (1, 1.5, 1.5), (1.0, 1.5, 1.0)],
+                         ids=["side", "sqrt2", "side-first"])
 def test_circulature_refuses_a_float_by_name(s, sqrt2, bad):
     with pytest.raises(TypeError, match=f"^{re.escape(repr(bad))} is neither an int nor a Fraction$"):
         circulature_i58(s, sqrt2)

@@ -14,15 +14,25 @@ a `not` or a unary minus dropped, an `if` test negated, or `return x` made
 temporary directory once, for all the modules; there the mutant replaces its
 module for one run of `python -m pytest -x -q tests`, with src on PYTHONPATH.
 A mutant is killed when the tests fail or run past TIMEOUT_S seconds.
-Survivors are printed with their module path and line, then each module's
-count of killed mutants; the exit status is 1 if any survive. Standard
-library only; the tests themselves need pytest and hypothesis.
+
+Each mutant has a key, `module | enclosing function | mutation | ordinal`,
+where the enclosing function is dotted through its classes (`<module>` at
+the top level) and the ordinal counts, from 1 in AST walk order, the mutants
+of that function with the same mutation; a key has no line number, so it
+holds while lines move. tools/equivalent_mutants.txt lists, one per line as
+`key | reason`, the survivors that no test can kill because the program
+behaves the same. Each unlisted survivor is printed as `survived: key (line
+n)`, each listed one that the run reached and killed or no longer makes as
+`no longer survives: key`, then each module's count of killed mutants. The
+exit status is 0 exactly when every survivor is listed. Standard library
+only; the tests themselves need pytest and hypothesis.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import concurrent.futures
 import os
 import queue
@@ -78,6 +88,40 @@ def mutants(source: str, function: str | None) -> list[tuple[int, int, str]]:
     return found
 
 
+def keys(source: str, found: list[tuple[int, int, str]]) -> list[tuple[str, str, str]]:
+    """Each mutant of ``found`` as (enclosing function, mutation, ordinal)."""
+    names: dict[int, str] = {}
+
+    def visit(node: ast.AST, name: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name if name == "<module>" else f"{name}.{node.name}"
+        names[id(node)] = name
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+
+    tree = ast.parse(source)
+    visit(tree, "<module>")
+    scope = [names[id(node)] for node in ast.walk(tree)]
+    seen: collections.Counter[tuple[str, str]] = collections.Counter()
+    result = []
+    for k, _, text in found:
+        pair = (scope[k], text.split(": ", 1)[1])
+        seen[pair] += 1
+        result.append((*pair, str(seen[pair])))
+    return result
+
+
+def listed(root: Path) -> dict[tuple[str, ...], str]:
+    """The equivalent mutants of tools/equivalent_mutants.txt under root, key to reason; # starts a comment line."""
+    path = root / "tools" / "equivalent_mutants.txt"
+    entries = {}
+    for line in path.read_text().splitlines() if path.exists() else []:
+        if line.strip() and not line.startswith("#"):
+            module, scope, mutation, ordinal, reason = line.split(" | ")
+            entries[(module, scope, mutation, ordinal)] = reason
+    return entries
+
+
 def apply(source: str, k: int, j: int) -> str:
     """The module source with site j of node k changed."""
     tree = ast.parse(source)
@@ -108,15 +152,19 @@ def main() -> int:
     root = Path.cwd().resolve()
     modules = [Path(m).resolve().relative_to(root) for m in args.module]  # relative, so mutants go to the copies
     sources = {module: module.read_text() for module in modules}
-    found = [(module, *site) for module in modules for site in mutants(sources[module], args.function)]
+    found = []
+    for module in modules:
+        sites_of = mutants(sources[module], args.function)
+        found += [(module, *site, (str(module), *key)) for site, key in zip(sites_of, keys(sources[module], sites_of))]
+    equivalent = listed(root)
     trees: queue.Queue[Path] = queue.Queue()
     scratch = Path(tempfile.mkdtemp(prefix="mutate-"))
     for i in range(args.jobs):
         shutil.copytree(root, scratch / str(i), ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
         trees.put(scratch / str(i))
 
-    def run(site: tuple[Path, int, int, str]) -> bool:
-        module, k, j, _ = site
+    def run(site: tuple[Path, int, int, str, tuple[str, ...]]) -> bool:
+        module, k, j, _, _ = site
         tree = trees.get()
         try:
             (tree / module).write_text(apply(sources[module], k, j))
@@ -135,16 +183,23 @@ def main() -> int:
     survivors = []
     try:
         with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-            for (module, _, _, text), killed in zip(found, pool.map(run, found)):
+            for (_, _, _, text, key), killed in zip(found, pool.map(run, found)):
                 if not killed:
-                    print(f"survived: {module}, {text}", flush=True)
-                    survivors.append(module)
+                    survivors.append(key)
+                    if key not in equivalent:
+                        print(f"survived: {' | '.join(key)} ({text.split(': ', 1)[0]})", flush=True)
     finally:
         shutil.rmtree(scratch)
+    # A listed key the run reached: its module was mutated whole, or its function was.
+    reached = {key[:2] for *_, key in found}
+    for key in equivalent:
+        if key not in survivors and (key[:2] in reached or not args.function and key[0] in map(str, modules)):
+            print(f"no longer survives: {' | '.join(key)}")
     for module in modules:
         total = sum(site[0] == module for site in found)
-        print(f"{module}: {total - survivors.count(module)} of {total} mutants killed")
-    return 1 if survivors else 0
+        killed = total - sum(key[0] == str(module) for key in survivors)
+        print(f"{module}: {killed} of {total} mutants killed")
+    return 1 if any(key not in equivalent for key in survivors) else 0
 
 
 if __name__ == "__main__":
