@@ -10,7 +10,6 @@ has 1 + t^2 a rational square, which makes every chord rational.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -45,16 +44,22 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
     at construction, outside eq, hash and repr. The validation and the
     predicates decide on these integers by cross-multiplication. The checks
     live in ``_from_forms``, which builders holding each vertex's least form
-    (X, Y, D) call directly; this constructor derives those forms and refuses
-    with TypeError a radius or coordinate that is neither an int nor a
-    Fraction. The radius keeps its type; the vertices are stored as a tuple.
+    (X, Y, D) call directly; this constructor derives those forms, refuses
+    with ValueError a vertex that is not a pair and with TypeError a radius or
+    coordinate that is neither an int nor a Fraction. The radius keeps its
+    type; the vertices are stored as a tuple.
     """
 
     def __new__(cls, r: Fraction | int, vertices: tuple[RationalPoint, ...]) -> CyclicQuad:
         vertices = tuple(vertices)
-        require_exact(r, *itertools.chain(*vertices))
+        require_exact(r)
         forms = []
-        for x, y in vertices:
+        for v in vertices:
+            try:
+                x, y = v
+            except (TypeError, ValueError):
+                raise ValueError(f"vertex {v!r} is not a pair of coordinates") from None
+            require_exact(x, y)
             big_d = math.lcm(x.denominator, y.denominator)
             forms.append((x.numerator * (big_d // x.denominator), y.numerator * (big_d // y.denominator), big_d))
         return cls._from_forms(r, vertices, forms)
@@ -75,7 +80,7 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
         rsq = big_r * big_r
         for v, (x, y) in zip(vertices, points):
             if x * x + y * y != rsq:
-                raise ValueError(f"vertex ({v.x}, {v.y}) is off the circle of radius {r}")
+                raise ValueError(f"vertex ({v[0]}, {v[1]}) is off the circle of radius {r}")
         if len(set(points)) != 4:
             raise ValueError("vertices must be pairwise distinct")
         (ax, ay), (bx, by), (cx, cy), (dx, dy) = points
@@ -97,9 +102,11 @@ class CyclicQuad(namedtuple("CyclicQuad", "r vertices")):
 
 
 def _param_form(t: Fraction | int, r: Fraction | int) -> tuple[int, int, int]:
-    """The point_from_param point (X/D, Y/D) as its least integer form (X, Y, D):
-    D > 0 and gcd(X, Y, D) = 1. Before the division, gcd(X, Y) divides
-    2 r.numerator, so that small number leads the gcd and it stays cheap.
+    """The point at parameter t on the circle of radius r by the tan-half-angle map,
+    (r(1 - t^2)/(1 + t^2), 2rt/(1 + t^2)), as its least integer form (X, Y, D):
+    D > 0 and gcd(X, Y, D) = 1. The point (-r, 0) is unreachable. Before the
+    division, gcd(X, Y) divides 2 r.numerator, so that small number leads the
+    gcd and it stays cheap.
     An int has a numerator and a denominator too; any other type is refused."""
     require_exact(t, r)
     if r.numerator <= 0:
@@ -113,13 +120,6 @@ def _param_form(t: Fraction | int, r: Fraction | int) -> tuple[int, int, int]:
 def _point(form: tuple[int, int, int]) -> RationalPoint:
     x, y, big_d = form
     return RationalPoint(Fraction(x, big_d), Fraction(y, big_d))
-
-
-def point_from_param(t: Fraction | int, r: Fraction | int) -> RationalPoint:
-    """Rational point on the circle of radius r via the tan-half-angle map:
-    (r(1 - t^2)/(1 + t^2), 2rt/(1 + t^2)). The point (-r, 0) is unreachable
-    and must be built directly."""
-    return _point(_param_form(t, r))
 
 
 def shoelace_area(quad: CyclicQuad) -> Fraction:
@@ -168,9 +168,7 @@ def heart_cord(a: Fraction, b: Fraction, h: Fraction) -> Fraction:
     dropped from their common vertex: R = a*b/(2h). Doubled, it is the
     diameter of the circle touching the corners of the completed figure."""
     require_exact(a, b, h)
-    if h == 0:
-        raise ValueError("perpendicular must be nonzero")
-    if a <= 0 or b <= 0 or h < 0:
+    if a <= 0 or b <= 0 or h <= 0:
         raise ValueError("sides and perpendicular must be positive")
     if h > min(a, b):
         raise ValueError(f"perpendicular {h} exceeds the shorter side {min(a, b)}")
@@ -281,8 +279,8 @@ def xii24_verify(t: Fraction | int, u: Fraction | int, r: Fraction | int) -> Hal
 
 
 def diagonal_lengths_sq(quad: CyclicQuad) -> tuple[Fraction, Fraction]:
-    """Squared diagonal lengths from coordinates (a coordinate oracle,
-    not a side-length formula)."""
+    """Squared diagonal lengths from coordinates, the CLI's ``diagonals squared``
+    row (not a side-length formula)."""
     w, (a, b, c, d) = quad.homogeneous
     return Fraction(_dist_sq(a, c), w * w), Fraction(_dist_sq(b, d), w * w)
 
@@ -369,20 +367,6 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
             order, forms = (a, d, c, b), [big_a, big_d, big_c, big_b]
         quads.append(CyclicQuad._from_forms(_DEMO_RADII[ri], order, forms))
     return quads
-
-
-def rational_side_quads(count: int) -> list[CyclicQuad]:
-    """Cyclic quads on the unit circle whose four chords are all exactly
-    rational, built from ascending 4-subsets of the Pythagorean parameter
-    table (extended with the negated values, which keeps 1 + t^2 square).
-    Counts above the number of such subsets raise ValueError."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    pool = sorted(set(PYTHAGOREAN_PARAMS) | {-t for t in PYTHAGOREAN_PARAMS})
-    limit = math.comb(len(pool), 4)
-    if count > limit:
-        raise ValueError(f"count {count} exceeds the {limit} quads the parameter pool yields")
-    return [triquadrilateral(*combo, 1) for combo in itertools.islice(itertools.combinations(pool, 4), count)]
 
 
 def rational_sides(quad: CyclicQuad) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -17,6 +17,9 @@ class Correspondence(namedtuple("Correspondence", "p q labels")):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int, labels: tuple[str, str] = ("first", "second")) -> Correspondence:
+        for n in (p, q):
+            if not isinstance(n, int):
+                raise TypeError(f"part count {n!r} is not an int")
         if p < 1 or q < 1:
             raise ValueError(f"({p}, {q}): parts must be >= 1")
         return super().__new__(cls, p, q, labels)
@@ -27,6 +30,8 @@ class Correspondence(namedtuple("Correspondence", "p q labels")):
 
 def refine(c: Correspondence, k: int) -> Correspondence:
     """Split every part into k subparts: (p, q) -> (k*p, k*q). Ratio unchanged."""
+    if not isinstance(k, int):
+        raise TypeError(f"refinement factor {k!r} is not an int")
     if k < 1:
         raise ValueError(f"refinement factor {k} must be >= 1")
     return Correspondence(k * c.p, k * c.q, c.labels)

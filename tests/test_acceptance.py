@@ -19,11 +19,10 @@ from sulvageom.cyclic_geometry import (
     heart_cord,
     orthodiagonal_generator,
     orthodiagonal_verdicts,
-    point_from_param,
-    rational_side_quads,
     rational_sides,
     segments_equal_portions,
     shoelace_area,
+    triquadrilateral,
     xii24_verify,
 )
 from sulvageom.exact_numbers import rat, sqrt_exact, to_decimal
@@ -38,6 +37,7 @@ from sulvageom.sulva_rules import (
     sqrt2_i61,
     verify_decompositions,
 )
+from test_cyclic_geometry import oracle_point
 
 
 def chord_sq(p, q):
@@ -111,7 +111,8 @@ def test_criterion_06_crude_rule_and_implied_pi():
 
 
 def test_criterion_07_area_oracle_equivalence():
-    quads = rational_side_quads(100)
+    pool = sorted({*PYTHAGOREAN_PARAMS, *(-t for t in PYTHAGOREAN_PARAMS)})
+    quads = [triquadrilateral(*ts, 1) for ts in itertools.islice(itertools.combinations(pool, 4), 100)]
     assert len(quads) == 100
     for quad in quads:
         sides = rational_sides(quad)
@@ -199,7 +200,7 @@ def _generic_quads(count, seed):
         while len(ts) < 4:
             ts.add(Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
         params = sorted(rat(t.numerator, t.denominator) for t in ts)
-        quads.append(CyclicQuad(rat(1), tuple(point_from_param(t, rat(1)) for t in params)))
+        quads.append(triquadrilateral(*params, rat(1)))
     return quads
 
 
@@ -242,7 +243,7 @@ def test_criterion_13_heart_cord():
     checked = 0
     for params in triangle_params:
         r = radii[checked % len(radii)]
-        a_pt, b_pt, c_pt = (point_from_param(t, r) for t in sorted(params))
+        a_pt, b_pt, c_pt = (oracle_point(t, r) for t in sorted(params))
         gamma = sqrt_exact(chord_sq(a_pt, c_pt))
         a = sqrt_exact(chord_sq(a_pt, b_pt))
         b = sqrt_exact(chord_sq(b_pt, c_pt))

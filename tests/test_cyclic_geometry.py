@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sulvageom import cyclic_geometry
 from sulvageom.cyclic_geometry import (
     DEMO_QUAD_LIMIT,
     CyclicQuad,
@@ -24,8 +23,6 @@ from sulvageom.cyclic_geometry import (
     heart_cord,
     orthodiagonal_generator,
     orthodiagonal_verdicts,
-    point_from_param,
-    rational_side_quads,
     rational_sides,
     segments_equal_portions,
     shoelace_area,
@@ -74,6 +71,8 @@ def oracle_chord_sq(p, q):
 
 
 def oracle_point(t, r):
+    """The tan-half-angle point at t on the circle of radius r; t and r must be
+    Fractions, since the divisions below turn ints into floats."""
     denom = 1 + t * t
     return RationalPoint(r * (1 - t * t) / denom, r * 2 * t / denom)
 
@@ -206,9 +205,9 @@ def oracle_orthodiagonal_generator(seed, count):
         if ti == ui:
             continue
         r = _DEMO_RADII[len(quads) % len(_DEMO_RADII)]
-        a = point_from_param(PYTHAGOREAN_PARAMS[ti], r)
+        a = oracle_point(PYTHAGOREAN_PARAMS[ti], r)
         c = RationalPoint(-a.x, -a.y)
-        b = point_from_param(PYTHAGOREAN_PARAMS[ui], r)
+        b = oracle_point(PYTHAGOREAN_PARAMS[ui], r)
         if b in (a, c):
             continue
         d = oracle_reflect(b, a)
@@ -367,38 +366,48 @@ def generic_quads(count, rng_seed=0):
         while len(ts) < 4:
             ts.add(Fraction(rng.randint(-60, 60), rng.randint(1, 40)))
         params = sorted(rat(t.numerator, t.denominator) for t in ts)
-        quads.append(CyclicQuad(rat(1), tuple(point_from_param(t, rat(1)) for t in params)))
+        quads.append(triquadrilateral(*params, rat(1)))
     return quads
 
 
 class TestPointsAndChords:
     def test_param_zero(self):
-        assert point_from_param(rat(0), rat(1)) == pt(1, 0)
+        assert _param_form(rat(0), rat(1)) == (1, 0, 1)
 
     def test_param_three_quarters(self):
-        assert point_from_param(rat(3, 4), rat(1)) == pt((7, 25), (24, 25))
+        assert _param_form(rat(3, 4), rat(1)) == (7, 24, 25)
 
     def test_param_one(self):
-        assert point_from_param(rat(1), rat(1)) == pt(0, 1)
+        assert _param_form(rat(1), rat(1)) == (0, 1, 1)
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError, match="must be positive"):
-            point_from_param(rat(1, 2), rat(0))
+            _param_form(rat(1, 2), rat(0))
 
     @given(t=st.fractions(), r=st.fractions(min_value="1/10", max_value=10))
     @example(t=Fraction(1), r=Fraction(2))  # the form (0, 4, 2) before its gcd 2 comes out
     def test_always_on_circle(self, t, r):
         t = rat(t.numerator, t.denominator)
         r = rat(r.numerator, r.denominator)
-        p = point_from_param(t, r)
-        assert p.x * p.x + p.y * p.y == r * r
-        assert_least_form_of(_param_form(t, r), oracle_point(t, r))
+        x, y, big_d = form = _param_form(t, r)
+        assert Fraction(x * x + y * y, big_d * big_d) == r * r
+        assert_least_form_of(form, oracle_point(t, r))
 
 
 class TestCyclicQuadValidation:
     def test_off_circle_rejected(self):
         with pytest.raises(ValueError, match="is off the circle of radius 1"):
             CyclicQuad(rat(1), (pt(1, 0), pt(0, 1), pt(-1, 0), pt(1, 1)))
+
+    def test_plain_tuple_vertices(self):
+        assert CyclicQuad(1, [(1, 0), (0, 1), (-1, 0), (0, -1)]) == UNIT_SQUARE
+        with pytest.raises(ValueError, match=r"^vertex \(0, 2\) is off the circle of radius 1$"):
+            CyclicQuad(1, [(1, 0), (0, 1), (-1, 0), (0, 2)])
+
+    @pytest.mark.parametrize("bad", [(0, 1, 0), (1,), 1, None], ids=["triple", "single", "int", "none"])
+    def test_vertex_not_a_pair_refused_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"^vertex {re.escape(repr(bad))} is not a pair of coordinates$"):
+            CyclicQuad(1, [(1, 0), bad, (-1, 0), (0, -1)])
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="vertices must be pairwise distinct"):
@@ -492,8 +501,8 @@ class TestExactTypes:
         [
             (lambda: CyclicQuad(1.0, KITE.vertices), 1.0),
             (lambda: CyclicQuad(1, (RationalPoint(1.0, 0),) + KITE.vertices[1:]), 1.0),
-            (lambda: point_from_param(0.5, 1), 0.5),
-            (lambda: point_from_param(rat(1, 2), 2.5), 2.5),
+            (lambda: _param_form(0.5, 1), 0.5),
+            (lambda: _param_form(rat(1, 2), 2.5), 2.5),
             (lambda: triquadrilateral(-2, 0.5, 1, 3, 1), 0.5),
             (lambda: xii24_verify(0.5, 7, 1), 0.5),
             (lambda: crude_area(1, 2, 3.0, 4), 3.0),
@@ -514,10 +523,7 @@ class TestExactTypes:
         quad, reference = triquadrilateral(*map(kind, ts), r), triquadrilateral(*map(Fraction, ts), Fraction(1))
         assert quad == reference and hash(quad) == hash(reference)
         assert quad.homogeneous == reference.homogeneous
-        for t in ts:
-            point = point_from_param(kind(t), r)
-            assert point == point_from_param(Fraction(t), Fraction(1))
-            assert all(type(c) is Fraction for c in point)
+        assert all(type(c) is Fraction for point in quad.vertices for c in point)
         report = xii24_verify(kind(2), kind(7), r)
         assert report == xii24_verify(Fraction(2), Fraction(7), Fraction(1))
         assert all(type(getattr(report, name)) is Fraction
@@ -634,7 +640,7 @@ class TestHeartCord:
         assert heart_cord(rat(3), rat(4), rat(12, 5)) * 2 == rat(5)
 
     def test_zero_perpendicular(self):
-        with pytest.raises(ValueError, match="perpendicular must be nonzero"):
+        with pytest.raises(ValueError, match="sides and perpendicular must be positive"):
             heart_cord(rat(3), rat(4), rat(0))
 
     def test_negative_side_rejected(self):
@@ -726,7 +732,8 @@ class TestOrthodiagonalVerdicts:
 
     def test_rational_side_quads(self):
         verdicts = []
-        for quad in rational_side_quads(3000):
+        pool = sorted({*PYTHAGOREAN_PARAMS, *(-t for t in PYTHAGOREAN_PARAMS)})
+        for quad in (triquadrilateral(*ts, 1) for ts in itertools.islice(itertools.combinations(pool, 4), 3000)):
             verdicts.append(orthodiagonal_verdicts(quad))
             assert verdicts[-1] == oracle_verdicts(quad)
         assert set(verdicts) == {(False, False), (True, True)}
@@ -875,7 +882,7 @@ class TestOrthodiagonalGenerator:
         for ti, t in enumerate(PYTHAGOREAN_PARAMS):
             for ri, r in enumerate(_DEMO_RADII):
                 a, c, form = _demo_point(ti, ri)
-                assert a == point_from_param(t, r)
+                assert a == oracle_point(t, r)
                 assert c == RationalPoint(-a.x, -a.y)
                 assert_least_form_of(form, a)
 
@@ -887,37 +894,19 @@ class TestOrthodiagonalGenerator:
 
 class TestRationalSideQuads:
     def test_all_chords_rational(self):
-        for quad in rational_side_quads(25):
+        pool = sorted({*PYTHAGOREAN_PARAMS, *(-t for t in PYTHAGOREAN_PARAMS)})
+        for quad in (triquadrilateral(*ts, 1) for ts in itertools.islice(itertools.combinations(pool, 4), 25)):
             sides = rational_sides(quad)
             assert all(s > 0 for s in sides)
 
     def test_first_quad(self):
-        # The four least parameters of the pool: -84/13, -60/11, -40/9, -63/16.
-        assert rational_side_quads(1)[0].vertices == (
+        # The four least parameters of the table and its negations.
+        assert triquadrilateral(rat(-84, 13), rat(-60, 11), rat(-40, 9), rat(-63, 16), 1).vertices == (
             RationalPoint(rat(-6887, 7225), rat(-2184, 7225)),
             RationalPoint(rat(-3479, 3721), rat(-1320, 3721)),
             RationalPoint(rat(-1519, 1681), rat(-720, 1681)),
             RationalPoint(rat(-3713, 4225), rat(-2016, 4225)),
         )
-
-    def test_shorter_count_is_a_prefix(self):
-        assert rational_side_quads(5) == rational_side_quads(40)[:5]
-
-    def test_count_validated(self):
-        with pytest.raises(ValueError, match="count"):
-            rational_side_quads(0)
-
-    def test_count_beyond_the_pool_refused(self):
-        # 61 parameters: the table and its negations, with 0 once.
-        with pytest.raises(ValueError, match="count 521856 exceeds the 521855 quads"):
-            rational_side_quads(math.comb(61, 4) + 1)
-
-    def test_count_at_the_limit(self, monkeypatch):
-        # 7 parameters: 0, +-3/4, +-4/3 and +-5/12 make C(7, 4) = 35 quads.
-        monkeypatch.setattr(cyclic_geometry, "PYTHAGOREAN_PARAMS", PYTHAGOREAN_PARAMS[:4])
-        assert len(rational_side_quads(35)) == 35
-        with pytest.raises(ValueError, match="count 36 exceeds the 35 quads"):
-            rational_side_quads(36)
 
     def test_irrational_chord_refused(self):
         with pytest.raises(NotRealizable):
@@ -934,7 +923,7 @@ class TestKernelMatchesOracle:
         radii = {quad.r for quad in quads}
         for t in PYTHAGOREAN_PARAMS:
             for r in radii:
-                assert point_from_param(t, r) == oracle_point(t, r)
+                assert_least_form_of(_param_form(t, r), oracle_point(t, r))
         for quad in quads:
             a, b, _, d = quad.vertices
             assert d == oracle_reflect(b, a)
@@ -944,8 +933,7 @@ class TestKernelMatchesOracle:
     @given(large_bit_inputs())
     def test_large_bit_quads(self, inputs):
         ts, r = inputs
-        points = tuple(point_from_param(t, r) for t in ts)
-        assert points == tuple(oracle_point(t, r) for t in ts)
+        points = tuple(oracle_point(t, r) for t in ts)
         quad = triquadrilateral(*ts, r)
         assert quad == CyclicQuad(r, points)
         assert quad.homogeneous == CyclicQuad(r, points).homogeneous
@@ -987,7 +975,7 @@ class TestKernelMatchesOracle:
     @given(mixed_param_inputs())
     def test_sides_and_xii24_on_mixed_params(self, inputs):
         ts, r = inputs
-        quad = CyclicQuad(r, tuple(point_from_param(t, r) for t in ts))
+        quad = triquadrilateral(*ts, r)
         assert_same_outcome(rational_sides, oracle_sides, quad)
         for t, u in itertools.combinations(ts, 2):
             assert_xii24_matches_oracle(t, u, r)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sulvageom.cyclic_geometry import point_from_param
+from sulvageom.cyclic_geometry import triquadrilateral
 from sulvageom.exact_numbers import (
     rat,
     sqrt_exact,
@@ -58,7 +58,7 @@ class TestRat:
         with pytest.raises(TypeError):
             rat(0.5)
         with pytest.raises(TypeError):
-            point_from_param(0.5, 1)
+            triquadrilateral(-2, 0.5, 1, 3, 1)
 
 
 class TestSqrtExact:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +39,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"\(0, 2\): parts must be >= 1"):
             Correspondence(3, 2)._replace(p=0)
 
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: Correspondence(1.5, 1), 1.5),
+            (lambda: Correspondence(2, 1.0), 1.0),
+            (lambda: Correspondence(rat(3), 1), rat(3)),
+            (lambda: Correspondence(3, 2)._replace(q=0.5), 0.5),
+        ],
+        ids=["p-float", "q-float", "p-fraction", "replace"],
+    )
+    def test_non_int_parts_refused_by_name(self, build, bad):
+        with pytest.raises(TypeError, match=rf"^part count {re.escape(repr(bad))} is not an int$"):
+            build()
+
 
 class TestOperations:
     def test_refine(self):
@@ -47,6 +63,11 @@ class TestOperations:
     def test_refine_bad_factor(self):
         with pytest.raises(ValueError, match="refinement factor 0 must be >= 1"):
             refine(Correspondence(3, 2), 0)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, rat(2)], ids=["float", "whole-float", "fraction"])
+    def test_refine_non_int_factor_refused_by_name(self, k):
+        with pytest.raises(TypeError, match=rf"^refinement factor {re.escape(repr(k))} is not an int$"):
+            refine(Correspondence(2, 1), k)
 
     def test_as_ratio(self):
         assert as_ratio(Correspondence(232, 28)) == rat(7, 58)
