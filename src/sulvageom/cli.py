@@ -111,7 +111,7 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
         }
         steps.append(entry)
         rows: list[Row] = [(key, value) for key, value in entry.items() if value is not None]
-        rows.insert(-1, ("ratio", scale.as_ratio(step.after)))
+        rows.insert(-1, ("ratio", Fraction(step.after.q, step.after.p)))
         sections.append((f"step {i}", rows))
     result = [("final", final), ("removal form", f"divide into {removal[0]} parts, remove {removal[1]}")]
     data = {"steps": steps, "final": final, "removal": removal}
@@ -144,6 +144,7 @@ def _cmd_quad(args: argparse.Namespace) -> Report:
         rows: list[Row] = [("segments equal portions", ortho), ("bisection theorem", bisect)]
         if as_json:
             # JSON prints only the items; cli_main still reads the exit status off these verdict rows.
+            # Strings made here, not by json.dumps' default hook: same bytes, but the hook is slower per value.
             items.append(
                 {
                     "r": to_fraction_text(quad.r),

@@ -10,19 +10,18 @@ ratio, and that distinction is the whole point.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 
-class Correspondence(namedtuple("Correspondence", "p q labels")):
+class Correspondence(namedtuple("Correspondence", "p q")):
     __slots__ = ()
 
-    def __new__(cls, p: int, q: int, labels: tuple[str, str] = ("first", "second")) -> Correspondence:
+    def __new__(cls, p: int, q: int) -> Correspondence:
         for n in (p, q):
             if not isinstance(n, int):
                 raise TypeError(f"part count {n!r} is not an int")
         if p < 1 or q < 1:
             raise ValueError(f"({p}, {q}): parts must be >= 1")
-        return super().__new__(cls, p, q, labels)
+        return super().__new__(cls, p, q)
 
     # namedtuple's _make, which _replace calls, would skip the check in __new__.
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -34,12 +33,7 @@ def refine(c: Correspondence, k: int) -> Correspondence:
         raise TypeError(f"refinement factor {k!r} is not an int")
     if k < 1:
         raise ValueError(f"refinement factor {k} must be >= 1")
-    return Correspondence(k * c.p, k * c.q, c.labels)
-
-
-def as_ratio(c: Correspondence) -> Fraction:
-    """Export the correspondence as the reduced fraction q/p."""
-    return Fraction(c.q, c.p)
+    return Correspondence(k * c.p, k * c.q)
 
 
 def removal_form(c: Correspondence) -> tuple[int, int]:
@@ -63,11 +57,11 @@ def derive_i59_trace() -> tuple[DerivationStep, ...]:
     counts E and e are carried as part counts on the current scale, never
     as lengths of their own.
     """
-    s1 = Correspondence(12, 8, ("half-diagonal", "half-side"))
-    s2 = Correspondence(24, 17, s1.labels)
-    s3 = Correspondence(s2.p, s2.p - s2.q, ("half-diagonal", "excess E"))
-    s4 = Correspondence(3 * (s3.p - s3.q), s3.q, ("half-side", "excess e"))
-    s5 = Correspondence(s4.p + s4.q, s4.p, ("diameter", "side"))
+    s1 = Correspondence(12, 8)
+    s2 = Correspondence(24, 17)
+    s3 = Correspondence(s2.p, s2.p - s2.q)
+    s4 = Correspondence(3 * (s3.p - s3.q), s3.q)
+    s5 = Correspondence(s4.p + s4.q, s4.p)
     s6 = s5  # the same correspondence, read as a removal
     s7 = refine(s6, 4)
     return (

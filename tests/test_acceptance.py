@@ -26,7 +26,7 @@ from sulvageom.cyclic_geometry import (
     xii24_verify,
 )
 from sulvageom.exact_numbers import rat, sqrt_exact, to_decimal
-from sulvageom.scale_calculus import as_ratio, derive_i59_trace, removal_form
+from sulvageom.scale_calculus import derive_i59_trace, removal_form
 from sulvageom.sulva_rules import (
     PI_REFERENCE,
     VERDICT_EQUAL,
@@ -90,7 +90,7 @@ def test_criterion_05_derivation_chain():
     assert trace[-1].after.p == 8 * 29
     assert removal_form(trace[-1].after) == (232, 28)
     # ratio is settled from step index 4 onward
-    assert {as_ratio(s.after) for s in trace[4:]} == {rat(51, 58)}
+    assert {Fraction(s.after.q, s.after.p) for s in trace[4:]} == {rat(51, 58)}
     passed(5, "I.59 derivation: 7 scripted steps ending at (8*29, remove 28)")
 
 

@@ -381,8 +381,12 @@ def run_cli_code(argv):
     return code, out.getvalue()
 
 
+# The unsigned, unpadded _literals, built directly: filtering _literals for a
+# leading digit kept too few draws (8 of 58 in one failing run) and tripped
+# hypothesis's filter_too_much health check. The two digit-first junk literals,
+# 1/2/3 and 0/0, are left out: _rational refuses both, so the test discarded them.
 @settings(max_examples=100, deadline=None)
-@given(literal=_literals.filter(lambda text: text[:1].isdigit()))
+@given(literal=st.builds(_literal, st.just(""), _numbers, st.none() | _numbers, st.just("")))
 @example(literal="1_000/3")
 @example(literal="3/+5")
 def test_negative_literal_reads_as_after_a_double_dash(literal):

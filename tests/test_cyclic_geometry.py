@@ -730,7 +730,7 @@ class TestOrthodiagonalVerdicts:
         for quad in orthodiagonal_generator(seed, DEMO_QUAD_LIMIT):
             assert orthodiagonal_verdicts(quad) == oracle_verdicts(quad) == (True, True)
 
-    def test_rational_side_quads(self):
+    def test_rational_chord_quads(self):
         verdicts = []
         pool = sorted({*PYTHAGOREAN_PARAMS, *(-t for t in PYTHAGOREAN_PARAMS)})
         for quad in (triquadrilateral(*ts, 1) for ts in itertools.islice(itertools.combinations(pool, 4), 3000)):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 from sympy import QQ, expand, symbols
 
 from sulvageom import cyclic_geometry
-from sulvageom.cyclic_geometry import orthodiagonal_verdicts, xii24_verify
+from sulvageom.cyclic_geometry import diagonal_lengths_sq, orthodiagonal_verdicts, shoelace_area, xii24_verify
 
 FIELD = QQ.frac_field(*symbols("na ma nb mb nc mc nd md"))
 NA, MA, NB, MB, NC, MC, ND, MD = FIELD.gens
@@ -108,3 +108,37 @@ def test_xii24_verify_proves_the_half_oblong_derivation(monkeypatch):
     monkeypatch.setattr(cyclic_geometry, "Fraction", lambda n, d: (n, d))
     report = xii24_verify(t, u, 1)
     assert report[-4:] == (True, True, True, True)
+
+
+def test_area_and_diagonals_prove_brahmagupta(monkeypatch):
+    """shoelace_area and diagonal_lengths_sq, the functions behind the quad
+    demo's area and diagonals squared rows, agree with Brahmagupta's area rule
+    (XII.21) and diagonal rule (XII.28) on every cyclic quad.
+
+    Vertex i sits at angle 2 psi_i on the unit circle, with u_i = tan(psi_i / 2),
+    so cos psi, sin psi, the vertex (cos^2 psi - sin^2 psi, 2 sin psi cos psi)
+    and the chord 2 sin(psi_j - psi_i) are all rational in u. When the psi_i
+    ascend within a half turn, the four sines are positive and the chords are
+    the side lengths. Fraction is replaced by division over the field, and the
+    radius is 1: each rule is homogeneous in the lengths. Left out:
+    brahmagupta_radicand reads .denominator, so it cannot run over the field;
+    the proof states the radicand as the text's product, and
+    TestBrahmaguptaRadicand::test_matches_the_fraction_oracle ties the kernel's
+    integer formula to that product."""
+    field = QQ.frac_field(*symbols("u1 u2 u3 u4"))
+    monkeypatch.setattr(cyclic_geometry, "Fraction", lambda n, d: n / d)
+    cos_sin = [((1 - u**2) / (1 + u**2), 2 * u / (1 + u**2)) for u in field.gens]
+    points = tuple((cos**2 - sin**2, 2 * sin * cos) for cos, sin in cos_sin)
+
+    def chord(i, j):
+        (cos_i, sin_i), (cos_j, sin_j) = cos_sin[i], cos_sin[j]
+        return 2 * (sin_j * cos_i - cos_j * sin_i)
+
+    a, b, c, d = chord(0, 1), chord(1, 2), chord(2, 3), chord(0, 3)
+    s = (a + b + c + d) / 2
+    quad = SimpleNamespace(homogeneous=(1, points))
+    assert shoelace_area(quad) ** 2 == (s - a) * (s - b) * (s - c) * (s - d)
+    assert diagonal_lengths_sq(quad) == (
+        (a * c + b * d) * (a * d + b * c) / (a * b + c * d),
+        (a * c + b * d) * (a * b + c * d) / (a * d + b * c),
+    )

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, strategies as st
 from sulvageom.exact_numbers import rat
 from sulvageom.scale_calculus import (
     Correspondence,
-    as_ratio,
     derive_i59_trace,
     refine,
     removal_form,
@@ -18,20 +18,19 @@ correspondences = st.builds(Correspondence, parts, parts)
 
 class TestConstruction:
     def test_stored_verbatim(self):
-        c = Correspondence(24, 17, ("half-diagonal", "half-side"))
+        c = Correspondence(24, 17)
         assert (c.p, c.q) == (24, 17)
 
     def test_identity(self):
-        c = Correspondence(1, 1, ("x", "x"))
+        c = Correspondence(1, 1)
         assert (c.p, c.q) == (1, 1)
 
     def test_remove_two_of_fifteen(self):
-        c = Correspondence(15, 13, ("diameter", "side"))
+        c = Correspondence(15, 13)
         assert removal_form(c) == (15, 2)
 
     def test_never_reduced(self):
         assert Correspondence(232, 28) != Correspondence(58, 7)
-        assert as_ratio(Correspondence(232, 28)) == as_ratio(Correspondence(58, 7))
 
     def test_nonpositive_parts(self):
         with pytest.raises(ValueError, match=r"\(0, 3\): parts must be >= 1"):
@@ -69,11 +68,6 @@ class TestOperations:
         with pytest.raises(TypeError, match=rf"^refinement factor {re.escape(repr(k))} is not an int$"):
             refine(Correspondence(2, 1), k)
 
-    def test_as_ratio(self):
-        assert as_ratio(Correspondence(232, 28)) == rat(7, 58)
-        assert as_ratio(Correspondence(1, 1)) == rat(1)
-        assert as_ratio(Correspondence(1393, 1224)) == rat(1224, 1393)
-
     def test_removal_form(self):
         assert removal_form(Correspondence(232, 204)) == (232, 28)
         assert removal_form(Correspondence(58, 51)) == (58, 7)
@@ -86,13 +80,14 @@ class TestOperations:
 
 @given(c=correspondences, k=st.integers(min_value=1, max_value=100))
 def test_refine_preserves_ratio(c, k):
-    assert as_ratio(refine(c, k)) == as_ratio(c)
+    r = refine(c, k)
+    assert Fraction(r.q, r.p) == Fraction(c.q, c.p)
 
 
 @given(c=correspondences.filter(lambda c: c.q <= c.p))
 def test_removal_round_trip(c):
     whole, removed = removal_form(c)
-    assert Correspondence(whole, whole - removed, c.labels) == c
+    assert Correspondence(whole, whole - removed) == c
 
 
 class TestI59Trace:
@@ -112,18 +107,6 @@ class TestI59Trace:
             (232, 204),
         ]
 
-    def test_step_labels(self):
-        labels = [s.after.labels for s in derive_i59_trace()]
-        assert labels == [
-            ("half-diagonal", "half-side"),
-            ("half-diagonal", "half-side"),
-            ("half-diagonal", "excess E"),
-            ("half-side", "excess e"),
-            ("diameter", "side"),
-            ("diameter", "side"),
-            ("diameter", "side"),
-        ]
-
     def test_final_and_removal(self):
         trace = derive_i59_trace()
         assert (trace[-1].after.p, trace[-1].after.q) == (232, 204)
@@ -132,8 +115,8 @@ class TestI59Trace:
 
     def test_final_ratio(self):
         trace = derive_i59_trace()
-        assert as_ratio(trace[-1].after) == rat(51, 58)
-        assert as_ratio(trace[5].after) == rat(51, 58)
+        for c in (trace[-1].after, trace[5].after):
+            assert Fraction(c.q, c.p) == Fraction(51, 58)
 
     def test_intermediate_removal_reading(self):
         trace = derive_i59_trace()
@@ -141,8 +124,8 @@ class TestI59Trace:
 
     def test_ratio_constant_over_last_steps(self):
         trace = derive_i59_trace()
-        ratios = {as_ratio(s.after) for s in trace[4:]}
-        assert ratios == {rat(51, 58)}
+        ratios = {Fraction(s.after.q, s.after.p) for s in trace[4:]}
+        assert ratios == {Fraction(51, 58)}
 
     def test_anchors_nonempty(self):
         assert all(s.anchor for s in derive_i59_trace())
