@@ -17,7 +17,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import cyclic_geometry as geom
-from . import scale_calculus as scale
 from . import sulva_rules as rules
 from .exact_numbers import rat, sqrt_exact, to_decimal, to_fraction_text
 
@@ -98,8 +97,8 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
 
 
 def _cmd_derive(args: argparse.Namespace) -> Report:
-    trace = scale.derive_i59_trace()
-    removal = scale.removal_form(trace[-1].after)
+    trace = rules.derive_i59_trace()
+    removal = rules.removal_form(trace[-1].after)
     final = (trace[-1].after.p, trace[-1].after.q)
     steps, sections = [], []
     for i, step in enumerate(trace, start=1):

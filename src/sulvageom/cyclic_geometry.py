@@ -338,6 +338,9 @@ def orthodiagonal_generator(seed: int, count: int) -> list[CyclicQuad]:
     Counts above DEMO_QUAD_LIMIT raise ValueError, since the walk would
     repeat quads.
     """
+    for name, value in (("seed", seed), ("count", count)):
+        if not isinstance(value, int):
+            raise TypeError(f"{name} {value!r} is not an int")
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > DEMO_QUAD_LIMIT:

@@ -26,7 +26,7 @@ from sulvageom.cyclic_geometry import (
     xii24_verify,
 )
 from sulvageom.exact_numbers import rat, sqrt_exact, to_decimal
-from sulvageom.scale_calculus import derive_i59_trace, removal_form
+from sulvageom.sulva_rules import derive_i59_trace, removal_form
 from sulvageom.sulva_rules import (
     PI_REFERENCE,
     VERDICT_EQUAL,

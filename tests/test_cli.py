@@ -676,12 +676,22 @@ def test_python_dash_m_entry_point():
 def test_import_builds_neither_cache():
     # The parser and the demo's point grid are built on first use, so an
     # import costs neither; nor does it load dataclasses, inspect or the
-    # symbolic oracle sympy.
+    # symbolic oracle sympy. The package is its four modules, one per
+    # source text plus exact_numbers and cli, and no alias of a former one.
     proc = run_python(
         "-c",
         "import sys; from sulvageom import cli, cyclic_geometry as g; "
         "print(cli.build_parser.cache_info().currsize, g._demo_point.cache_info().currsize, "
-        "*sorted({'dataclasses', 'inspect', 'sympy'} & set(sys.modules)))",
+        "*sorted({'dataclasses', 'inspect', 'sympy'} & set(sys.modules))); "
+        "print(*sorted(name for name in sys.modules if name.startswith('sulvageom')))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [b"0", b"0"]
+    counts, modules = proc.stdout.splitlines()
+    assert counts.split() == [b"0", b"0"]
+    assert modules.split() == [
+        b"sulvageom",
+        b"sulvageom.cli",
+        b"sulvageom.cyclic_geometry",
+        b"sulvageom.exact_numbers",
+        b"sulvageom.sulva_rules",
+    ]

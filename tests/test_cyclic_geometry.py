@@ -854,6 +854,15 @@ class TestOrthodiagonalGenerator:
         with pytest.raises(ValueError, match="seed"):
             orthodiagonal_generator(0, 1)
 
+    @pytest.mark.parametrize(
+        "seed, count, bad",
+        [(1.5, 1, "seed 1.5"), (Fraction(3), 1, "seed Fraction(3, 1)"), (1, 2.5, "count 2.5"), (1, 3.0, "count 3.0")],
+        ids=["seed-float", "seed-fraction", "count-float", "count-whole-float"],
+    )
+    def test_non_int_refused_by_name(self, seed, count, bad):
+        with pytest.raises(TypeError, match=rf"^{re.escape(bad)} is not an int$"):
+            orthodiagonal_generator(seed, count)
+
     def test_limit_is_every_pair_at_every_radius(self):
         assert DEMO_QUAD_LIMIT == 1860
 

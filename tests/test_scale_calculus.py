@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sulvageom.exact_numbers import rat
-from sulvageom.scale_calculus import (
+from sulvageom.sulva_rules import (
     Correspondence,
     derive_i59_trace,
     refine,

@@ -49,6 +49,11 @@ class TestCirculature:
     def test_degenerate_diagonal_value_one(self):
         assert circulature_i58(rat(5), rat(1)) == rat(5, 2)
 
+    @pytest.mark.parametrize("sqrt2", [rat(99, 100), rat(0), rat(-2)])
+    def test_diagonal_value_below_one_refused(self, sqrt2):
+        with pytest.raises(ValueError, match=rf"^diagonal value {re.escape(str(sqrt2))} must be >= 1$"):
+            circulature_i58(rat(1), sqrt2)
+
     def test_three_halves(self):
         assert circulature_i58(rat(2), rat(3, 2)) == rat(7, 6)
 
